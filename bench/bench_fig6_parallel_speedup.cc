@@ -70,6 +70,7 @@ int main() {
     auto app = MakeLcsApp(8);
     auto program = CompileZlang<F128>(app.source);
     Qap<F128> qap(program.zaatar.r1cs);
+    qap.WarmProver();  // the lazy prover tables must not be built in parallel
     Prg prg(13);
     auto queries =
         ZaatarPcp<F128>::GenerateQueries(qap, PcpParams::Light(), prg);

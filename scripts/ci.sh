@@ -130,10 +130,10 @@ EOF
 
   # NTT proving-pipeline baseline: emit BENCH_ntt.json from the --json mode
   # of the fig5 bench (per-phase ComputeH seconds on synthetic R1CS at
-  # |C| in {256, 1024, 4096}) and gate the residue pipeline against the
-  # Figure 3 model: construct_proof / (3 f |C| log2^2 |C|) <= 6 at
-  # |C| = 1024. The pre-refactor coefficient-form path sat at 12-20x; a
-  # ratio drifting back above 6 means the pipeline fell off the NTT path.
+  # |C| in {256, 1024, 4096}) and gate ComputeH against the Figure 3 model:
+  # construct_proof / (3 f |C| log2^2 |C|) <= 6 at |C| = 1024. The
+  # coefficient-form path sits at 12-20x; a ratio drifting above 6 means
+  # the quotient fell off the NTT shift path.
   echo "==== [bench] ntt pipeline smoke ===="
   local njson="$build_dir/BENCH_ntt_smoke.json"
   "$build_dir/bench/bench_fig5_prover_breakdown" --json --out "$njson"
@@ -142,18 +142,18 @@ EOF
 import json, sys
 with open(sys.argv[1]) as f:
     doc = json.load(f)
-assert doc["schema"] == "ntt.pipeline.v1", doc.get("schema")
+assert doc["schema"] == "ntt.pipeline.v2", doc.get("schema")
 assert doc["f_seconds"] > 0
 sizes = doc["sizes"]
 assert [s["c"] for s in sizes] == [256, 1024, 4096], sizes
 for s in sizes:
-    for key in ("construct_proof_s", "interpolate_s", "mul_s", "divide_s",
+    for key in ("construct_proof_s", "shift_s", "pointwise_s",
                 "model_s", "model_ratio"):
         assert s[key] > 0, f"missing/zero {key} at |C|={s['c']}"
     assert "naive_s" in s
-    # The phase spans must account for most of construct_proof (the
-    # evaluation pass outside them is linear and small).
-    phases = s["interpolate_s"] + s["mul_s"] + s["divide_s"]
+    # The phase spans nest inside construct_proof (the evaluation pass
+    # outside them is linear and small).
+    phases = s["shift_s"] + s["pointwise_s"]
     assert phases <= s["construct_proof_s"] * 1.001, s
 gate = next(s for s in sizes if s["c"] == 1024)
 assert gate["model_ratio"] <= 6.0, \
@@ -164,7 +164,7 @@ print("ntt pipeline ok:",
       f"(naive@1024 {gate['naive_s']:.3f}s)")
 EOF
   else
-    grep -q '"ntt.pipeline.v1"' "$njson"
+    grep -q '"ntt.pipeline.v2"' "$njson"
   fi
   echo "bench smoke ok: $njson"
 

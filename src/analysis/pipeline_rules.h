@@ -6,13 +6,15 @@
 // |Z'| = |Z| + K2 / |C'| = |C| + K2 accounting and the structural shape of
 // its product rows, and — at the QAP layer — that the divisor polynomial
 // D(t) = prod_{j=1..|C|} (t - j) really is the degree-|C| monic polynomial
-// the divisibility argument (paper Appendix A.1) assumes, and that the
+// the divisibility argument (paper Appendix A.1) assumes, that the
 // verifier-side evaluation produces one row per variable plus the constant
-// row.
+// row, and that the prover's cached shift tables satisfy their defining
+// identities.
 
 #ifndef SRC_ANALYSIS_PIPELINE_RULES_H_
 #define SRC_ANALYSIS_PIPELINE_RULES_H_
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -22,7 +24,7 @@
 #include "src/constraints/qap.h"
 #include "src/constraints/transform.h"
 #include "src/crypto/prg.h"
-#include "src/poly/residue.h"
+#include "src/poly/algorithms.h"
 
 namespace zaatar {
 
@@ -137,13 +139,14 @@ void CheckQapShape(const Qap<F>& qap, AnalysisReport* report,
   }
 
   if (tau_probe && m > 0) {
-    // Any point outside {0..m} is a valid probe; m+1 is deterministic.
-    const F tau = F::FromUint(m + 1);
+    // Any point outside {0..2m+1} (the interpolation set and the quotient's
+    // point set S') is a valid probe; 2m+2 is deterministic.
+    const F tau = F::FromUint(2 * m + 2);
     auto ev_or = qap.EvaluateAtTau(tau);
     if (!ev_or.ok()) {
       report->Add(Severity::kError, kRuleQapShape, loc,
-                  "EvaluateAtTau rejected a probe point outside the "
-                  "interpolation set: " +
+                  "EvaluateAtTau rejected a probe point outside "
+                  "{0..2|C|+1}: " +
                       ev_or.status().ToString());
       return;
     }
@@ -167,40 +170,85 @@ void CheckQapShape(const Qap<F>& qap, AnalysisReport* report,
     }
   }
 
-  // Residue-domain prover probes: the divisor check above validates the
+  // Prover-table probes: the divisor check above validates the
   // coefficient-form D(t), but ComputeH never touches it — the quotient
-  // comes from the cached Newton inverse of rev(D) in CRT evaluation form.
-  // Re-derive that cache's defining identity instead of trusting it.
+  // comes from the per-Psi shift tables. Re-derive their defining
+  // identities instead of trusting them.
   if (tau_probe && m > 0 && d.Degree() == static_cast<long>(m)) {
-    const auto& ctx = qap.Prover();
-    // rev_m(D) · inv ≡ 1 (mod x^{m+1}): multiply through the very NTT
-    // images ComputeH uses for the quotient, then fold and compare.
-    ResiduePoly<F> rev_d = ToResidue(d.Reverse(m), m + 1, *ctx.basis, 1);
-    ResiduePoly<F> prod =
-        ResiduePoly<F>::MulImages(rev_d, ctx.inv_images, m + 1, 1);
-    std::vector<F> unit = prod.ToCoefficients(1);
-    bool is_unit = unit[0].IsOne();
-    for (size_t i = 1; i < unit.size() && is_unit; i++) {
-      is_unit = unit[i].IsZero();
+    const auto& tables = qap.Prover();
+    // Shifting the values of t -> t from {0..m} must give m+1..2m+1: this
+    // runs the weights, the kernel images and the scales end to end.
+    std::vector<F> ramp(m + 1);
+    for (size_t j = 0; j <= m; j++) {
+      ramp[j] = F::FromUint(j);
     }
-    if (!is_unit) {
+    std::vector<F> shifted = qap.ShiftValues(ramp);
+    bool ramp_ok = shifted.size() == m + 1;
+    for (size_t k = 0; k <= m && ramp_ok; k++) {
+      ramp_ok = shifted[k] == F::FromUint(m + 1 + k);
+    }
+    if (!ramp_ok) {
       report->Add(Severity::kError, kRuleQapShape, loc,
-                  "cached prover inverse is not rev(D)^{-1} mod x^{|C|+1}: "
-                  "residue-domain division would produce wrong quotients");
+                  "prover shift tables do not map the values of t on "
+                  "{0..|C|} to |C|+1..2|C|+1: quotients would be wrong");
     }
 
-    // Small systems get a full end-to-end differential: the residue
-    // pipeline must reproduce the frozen coefficient-form path bit for bit
-    // on an arbitrary (non-satisfying) assignment.
+    // 1/D(s_k) · prod_j (s_k - j) = 1, with the product taken directly, at
+    // the ends of S' and at ~16 points between (O(|C|) each).
+    const size_t step = std::max<size_t>(1, m / 16);
+    std::vector<size_t> probes;
+    for (size_t k = 0; k < m; k += step) {
+      probes.push_back(k);
+    }
+    probes.push_back(m);
+    for (size_t k : probes) {
+      const F s = F::FromUint(m + 1 + k);
+      F prod = F::One();
+      for (size_t j = 1; j <= m; j++) {
+        prod *= s - F::FromUint(j);
+      }
+      if (!(tables.inv_d[k] * prod).IsOne()) {
+        report->Add(Severity::kError, kRuleQapShape, loc,
+                    "cached prover table 1/D(s_k) is wrong at k = " +
+                        std::to_string(k));
+        break;
+      }
+    }
+
+    // Small systems get a full end-to-end differential against the
+    // coefficient-form path on an arbitrary (non-satisfying) assignment:
+    // h[k] must equal P_w(s_k) / D(s_k) with P_w = A·B - C interpolated
+    // over the subproduct tree, and `exact` must match the constraints.
     if (m <= 256) {
       Prg probe_prg(0x5eed);
       std::vector<F> w = probe_prg.NextFieldVector<F>(cs.layout.Total());
+      std::vector<F> ea(m + 1, F::Zero()), eb(m + 1, F::Zero()),
+          ec(m + 1, F::Zero());
+      for (size_t j = 0; j < m; j++) {
+        ea[j + 1] = cs.constraints[j].a.Evaluate(w);
+        eb[j + 1] = cs.constraints[j].b.Evaluate(w);
+        ec[j + 1] = cs.constraints[j].c.Evaluate(w);
+      }
+      std::vector<F> points(m + 1);
+      for (size_t j = 0; j <= m; j++) {
+        points[j] = F::FromUint(j);
+      }
+      SubproductTree<F> tree(std::move(points));
+      Polynomial<F> pw = tree.Interpolate(ea) * tree.Interpolate(eb) -
+                         tree.Interpolate(ec);
+      std::vector<F> d_s(m + 1), want(m + 1);
+      for (size_t k = 0; k <= m; k++) {
+        d_s[k] = d.Evaluate(F::FromUint(m + 1 + k));
+      }
+      BatchInvert(d_s.data(), m + 1);
+      for (size_t k = 0; k <= m; k++) {
+        want[k] = pw.Evaluate(F::FromUint(m + 1 + k)) * d_s[k];
+      }
       auto fast = qap.ComputeH(w);
-      auto slow = qap.ComputeHNaive(w);
-      if (fast.h != slow.h || fast.exact != slow.exact) {
+      if (fast.h != want || fast.exact != cs.IsSatisfied(w)) {
         report->Add(Severity::kError, kRuleQapShape, loc,
-                    "residue-pipeline ComputeH diverges from the "
-                    "coefficient-form reference on a probe assignment");
+                    "ComputeH diverges from P_w(s)/D(s) on S' (the "
+                    "coefficient-form reference) on a probe assignment");
       }
     }
   }

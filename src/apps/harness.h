@@ -127,10 +127,10 @@ struct ZaatarHarnessBackend {
   struct Prepared {
     explicit Prepared(const CompiledProgram<F>& program)
         : qap(program.zaatar.r1cs) {
-      // One-time prover setup (CRT basis, divisor-inverse NTT images,
-      // subproduct-tree residue images) happens here, outside the
-      // per-instance prover.construct_proof spans — it is amortized across
-      // the batch exactly like the verifier's query setup.
+      // One-time prover setup (CRT basis, shift-kernel NTT images,
+      // factorial tables) happens here, outside the per-instance
+      // prover.construct_proof spans — it is amortized across the batch
+      // exactly like the verifier's query setup.
       qap.WarmProver();
     }
     Qap<F> qap;  // holds a pointer into the program's R1CS; do not copy

@@ -5,18 +5,26 @@
 // progression that enables the incremental barycentric weights of Appendix
 // A.3), plus the extra point 0 at which every A_i/B_i/C_i vanishes.
 //
-//   - Prover side: ComputeH interpolates A(t) = sum_i w_i A_i(t) (and B, C)
-//     from their evaluations at the points, forms P_w = A·B - C, and divides
-//     by D(t) = prod_j (t - sigma_j). Cost ~ 3·f·|C|·log²|C| via the
-//     subproduct-tree machinery in src/poly.
+// The proof vector h encodes H(t) = P_w(t)/D(t) by its values on the shifted
+// progression S' = {m+1, .., 2m+1} (m = |C|), not by its coefficients: the
+// linear PCP only needs some fixed linear encoding of H, and this one lets
+// the prover skip interpolation and division altogether.
+//
+//   - Prover side: ComputeH moves A(t) = sum_i w_i A_i(t) (and B, C) from
+//     their values on {0..m} to their values on S' with one middle product
+//     each against a cached kernel (Bostan, Gaudry & Schost 2007), then sets
+//     h[k] = (A·B - C)(s_k) / D(s_k) pointwise. Cost ~ 3 NTT products of
+//     length 2|C|.
 //   - Verifier side: EvaluateAtTau computes {A_i(tau)}, {B_i(tau)},
-//     {C_i(tau)} for all rows i (row 0 = constant term) and D(tau) with
-//     barycentric Lagrange evaluation, in O(|C| + nnz) field operations plus
-//     one batched inversion.
+//     {C_i(tau)} for all rows i (row 0 = constant term), D(tau), and S''s
+//     Lagrange basis at tau (so that H(tau) = <h, basis>) with barycentric
+//     Lagrange evaluation, in O(|C| + nnz) field operations plus one batched
+//     inversion.
 
 #ifndef SRC_CONSTRAINTS_QAP_H_
 #define SRC_CONSTRAINTS_QAP_H_
 
+#include <cassert>
 #include <memory>
 #include <string>
 #include <vector>
@@ -24,6 +32,7 @@
 #include "src/constraints/r1cs.h"
 #include "src/obs/trace.h"
 #include "src/poly/algorithms.h"
+#include "src/poly/residue.h"
 #include "src/util/status.h"
 
 namespace zaatar {
@@ -44,80 +53,94 @@ class Qap {
   // ----- Prover -----
 
   struct HResult {
-    std::vector<F> h;  // |C|+1 coefficients of H(t), low degree first
-    bool exact;        // true iff D(t) divided P_w(t) exactly (i.e. the
-                       // assignment satisfies the constraints)
+    std::vector<F> h;  // H(m+1+k) for k = 0..|C|: H's values on S'
+    bool exact;        // true iff D(t) divides P_w(t) (i.e. the assignment
+                       // satisfies the constraints)
   };
 
-  // Computes the coefficients of H(t) = P_w(t) / D(t) for the given full
-  // assignment. For an unsatisfying assignment `exact` is false and `h` is
-  // the polynomial quotient (useful for building cheating provers in tests).
+  // Computes h[k] = P_w(s_k) / D(s_k) on S' for the given full assignment.
+  // For a satisfying assignment these are the values of the quotient
+  // polynomial H(t) = P_w(t)/D(t). For any other assignment `exact` is false
+  // and h holds the same pointwise ratios; the polynomial through them times
+  // D then differs from P_w, so the verifier's divisibility check rejects it
+  // with high probability (tests build cheating provers from it).
   //
-  // Runs the residue-domain pipeline (DESIGN.md §15): interpolate A, B, C in
-  // residue form over the subproduct tree's cached node images, form
-  // A·B − C with one renormalize, and divide by D(t) through the cached
-  // Newton inverse of rev(D) — only the top half of P_w feeds the quotient
-  // (rev_{2m}(P_w) ≡ rev_m(q)·rev_m(D) mod x^{m+1}, D monic). Exactness is
-  // read off the evaluations: D | P_w iff P_w vanishes at every point j,
-  // i.e. A(j)·B(j) = C(j) for j = 1..m — equivalent to the remainder test
-  // of ComputeHNaive, whose output this must match bit for bit (enforced by
-  // the differential suites in tests/qap_test.cc).
+  // A, B, C reach S' through ShiftValues (one middle product each); D(s_k)
+  // is a cached table. Exactness is read off the evaluations: D | P_w iff
+  // P_w vanishes at every point j, i.e. A(j)·B(j) = C(j) for j = 1..m.
+  // tests/qap_test.cc checks the output against the coefficient-form
+  // ComputeHNaive evaluated on S'.
   HResult ComputeH(const std::vector<F>& assignment) const {
     obs::Span span("qap.compute_h");
     const size_t m = Degree();
-    const SubproductTree<F>& tree = Tree();
-    const ProverContext& ctx = Prover();
-    const size_t workers = PolyWorkers();
+    const ProverTables& tables = Prover();
 
     std::vector<F> ea(m + 1, F::Zero()), eb(m + 1, F::Zero()),
         ec(m + 1, F::Zero());
+    HResult out;
+    out.exact = true;
     for (size_t j = 0; j < m; j++) {
       const auto& c = cs_->constraints[j];
       ea[j + 1] = c.a.Evaluate(assignment);
       eb[j + 1] = c.b.Evaluate(assignment);
       ec[j + 1] = c.c.Evaluate(assignment);
-    }
-    HResult out;
-    out.exact = true;
-    for (size_t j = 1; j <= m; j++) {
-      if (ea[j] * eb[j] != ec[j]) {
+      if (ea[j + 1] * eb[j + 1] != ec[j + 1]) {
         out.exact = false;
-        break;
       }
     }
 
-    ResiduePoly<F> ra, rb, rc;
+    std::vector<F> sa, sb, sc;
     {
-      obs::Span interp("qap.interpolate");
-      ra = tree.InterpolateResidue(ea, *ctx.basis, workers);
-      rb = tree.InterpolateResidue(eb, *ctx.basis, workers);
-      rc = tree.InterpolateResidue(ec, *ctx.basis, workers);
-    }
-    ResiduePoly<F> pw;
-    {
-      obs::Span mul("qap.mul");
-      pw = ResiduePoly<F>::Mul(ra, rb, workers);  // length 2m+1
-      pw = ResiduePoly<F>::Sub(pw, rc, workers);
-      pw.Renormalize(workers);
+      obs::Span shift("qap.shift");
+      sa = ShiftValues(ea);
+      sb = ShiftValues(eb);
+      sc = ShiftValues(ec);
     }
     {
-      obs::Span divide("qap.divide");
-      ResiduePoly<F> hi = pw.Reverse(2 * m).Truncate(m + 1);
-      ResiduePoly<F> q_rev =
-          ResiduePoly<F>::MulImages(hi, ctx.inv_images, m + 1, workers);
-      std::vector<F> hv = q_rev.ToCoefficients(workers);
-      out.h.assign(m + 1, F::Zero());
-      for (size_t i = 0; i <= m; i++) {
-        out.h[i] = hv[m - i];
+      obs::Span pointwise("qap.pointwise");
+      out.h.resize(m + 1);
+      for (size_t k = 0; k <= m; k++) {
+        out.h[k] = (sa[k] * sb[k] - sc[k]) * tables.inv_d[k];
       }
     }
     return out;
   }
 
-  // The frozen coefficient-form pipeline ComputeH replaced: interpolate with
-  // Polynomial products, divide with DivRem, read exactness off the
-  // remainder. Kept verbatim as the cross-PR differential yardstick — the
-  // residue path must reproduce its output bit for bit.
+  // Given the values of a polynomial f of degree <= m at 0..m, returns its
+  // values at s_k = m+1+k for k = 0..m. Lagrange over {0..m} gives
+  //   f(s_k) = l(s_k) · sum_j (f(j)·w_j) / (s_k - j),
+  // with w_j = (-1)^{m-j} / (j!·(m-j)!) and l(s_k) = (m+1+k)!/k!; the sum is
+  // coefficient m+k of the product of (f(j)·w_j)_j with the kernel
+  // 1/(i+1), i = 0..2m. Only coefficients m..2m are read, so a cyclic
+  // transform of size >= 2m+1 suffices (wrap-around lands below index m).
+  std::vector<F> ShiftValues(const std::vector<F>& values) const {
+    const size_t m = Degree();
+    assert(values.size() == m + 1);
+    const ProverTables& tables = Prover();
+    const size_t workers = PolyWorkers();
+    std::vector<F> u(m + 1);
+    for (size_t j = 0; j <= m; j++) {
+      u[j] = values[j] * tables.weights[j];
+    }
+    std::vector<F> out =
+        ResiduePoly<F>::MulImages(
+            ResiduePoly<F>::FromCoefficients(u.data(), m + 1, *tables.basis,
+                                             workers),
+            tables.kernel, /*lo=*/m, /*count=*/m + 1, workers)
+            .ToCoefficients(workers);
+    for (size_t k = 0; k <= m; k++) {
+      out[k] *= tables.scale[k];
+    }
+    return out;
+  }
+
+  // The coefficient-form pipeline of the paper's Appendix A.3: interpolate
+  // A, B, C over the subproduct tree, multiply, divide by D(t) with
+  // DivRem, read exactness off the remainder. `h` holds the |C|+1
+  // coefficients of the polynomial quotient, low degree first. Kept as the
+  // paper-faithful Figure 5 column and as the differential oracle: for a
+  // satisfying assignment these coefficients, evaluated on S', must equal
+  // ComputeH's h.
   HResult ComputeHNaive(const std::vector<F>& assignment) const {
     obs::Span span("qap.compute_h_naive");
     const size_t m = Degree();
@@ -149,45 +172,62 @@ class Qap {
     return out;
   }
 
-  // Precomputed residue-domain prover state: the CRT basis sized for the
-  // whole pipeline's bound growth and the forward images of
-  // NewtonInverse(rev_m(D), m+1) at the product transform size. Built once
-  // per Qap and reused across every instance of a batch. Public so the
-  // static analyzer can probe the rewritten division path
-  // (src/analysis/pipeline_rules.h).
-  struct ProverContext {
-    const CrtBasis<F>* basis = nullptr;
-    NttImages inv_images;
+  // Per-Psi prover tables for the shift, built once per Qap and reused
+  // across every instance of a batch. Public so the static analyzer can
+  // probe them (src/analysis/pipeline_rules.h).
+  struct ProverTables {
+    const CrtBasis<F>* basis = nullptr;  // holds a product of two canonical
+                                         // vectors of length m+1 exactly
+    std::vector<F> weights;  // w_j = (-1)^{m-j} / (j!·(m-j)!), j = 0..m
+    NttImages kernel;        // forward images of 1/(i+1), i = 0..2m
+    std::vector<F> scale;    // l(s_k) = (m+1+k)!/k!, k = 0..m
+    std::vector<F> inv_d;    // 1/D(s_k) = k!/(m+k)!, k = 0..m
   };
 
-  const ProverContext& Prover() const {
+  // All tables are factorial ratios over 0..2m+1 (one field inversion), plus
+  // one forward transform of the kernel. Requires the field characteristic
+  // to exceed 2m+1, which every supported field does by a wide margin.
+  const ProverTables& Prover() const {
     if (prover_ == nullptr) {
       const size_t m = Degree();
       const size_t workers = PolyWorkers();
-      auto ctx = std::make_unique<ProverContext>();
-      // Bound headroom over the plain product bound 2B + log: +2 for the
-      // padded subtraction in A·B − C, +2 for Newton's 2 − f·g step.
-      size_t bound = 2 * F::kModulusBits + CeilLog2(2 * m + 1) + 4;
-      ctx->basis = &CrtBasis<F>::Get(CrtBasisSizeForBound(bound));
-      ResiduePoly<F> rev_d =
-          ToResidue(Divisor().Reverse(m), m + 1, *ctx->basis, workers);
-      ResiduePoly<F> inv = ResidueNewtonInverse(rev_d, m + 1, workers);
-      ctx->inv_images = inv.ForwardImages(CeilLog2(2 * m + 1), workers);
-      prover_ = std::move(ctx);
+      std::vector<F> fact(2 * m + 2), inv_fact(2 * m + 2);
+      fact[0] = F::One();
+      for (size_t i = 1; i < fact.size(); i++) {
+        fact[i] = fact[i - 1] * F::FromUint(i);
+      }
+      inv_fact.back() = fact.back().Inverse();
+      for (size_t i = fact.size() - 1; i > 0; i--) {
+        inv_fact[i - 1] = inv_fact[i] * F::FromUint(i);
+      }
+      auto t = std::make_unique<ProverTables>();
+      t->weights.resize(m + 1);
+      t->scale.resize(m + 1);
+      t->inv_d.resize(m + 1);
+      for (size_t j = 0; j <= m; j++) {
+        F w = inv_fact[j] * inv_fact[m - j];
+        t->weights[j] = (m - j) % 2 == 0 ? w : -w;
+        t->scale[j] = fact[m + 1 + j] * inv_fact[j];
+        t->inv_d[j] = fact[j] * inv_fact[m + j];
+      }
+      std::vector<F> kernel(2 * m + 1);
+      for (size_t i = 0; i < kernel.size(); i++) {
+        kernel[i] = fact[i] * inv_fact[i + 1];
+      }
+      t->basis = &CrtBasis<F>::Get(
+          CrtBasisSizeForBound(2 * F::kModulusBits + CeilLog2(m + 1)));
+      t->kernel = ResiduePoly<F>::FromCoefficients(kernel.data(), kernel.size(),
+                                                   *t->basis, workers)
+                      .ForwardImages(CeilLog2(kernel.size()), workers);
+      prover_ = std::move(t);
     }
     return *prover_;
   }
 
-  // Builds every lazily-cached prover artifact — subproduct tree,
-  // interpolation weights, divisor inverse images, tree node images — so
-  // batch pipelines pay the one-time setup outside the per-instance loop
-  // (and outside the per-instance ParallelFor, keeping the lazy caches
-  // single-threaded).
-  void WarmProver() const {
-    const ProverContext& ctx = Prover();
-    Tree().InterpolationWeights();
-    Tree().WarmResidueImages(*ctx.basis, PolyWorkers());
-  }
+  // Builds the lazily-cached prover tables so batch pipelines pay the
+  // one-time setup outside the per-instance loop (and outside the
+  // per-instance ParallelFor, keeping the lazy cache single-threaded).
+  void WarmProver() const { Prover(); }
 
   // ----- Verifier -----
 
@@ -197,34 +237,44 @@ class Qap {
     std::vector<F> b_rows;
     std::vector<F> c_rows;
     F d_tau;
+    // S''s Lagrange basis at tau, so that H(tau) = sum_k h[k]·h_basis[k]
+    // for ComputeH's h: the verifier's divisibility query q_d.
+    std::vector<F> h_basis;
   };
 
-  // Requires tau outside the interpolation set {0, 1, ..., |C|}: a
-  // colliding tau would batch-invert a zero and poison every barycentric
-  // weight, so it is rejected with a typed error instead (callers resample;
-  // the collision probability for a uniform tau is (|C|+1)/|F|).
+  // Requires tau outside {0, 1, ..., 2|C|+1}, the union of the interpolation
+  // set {0..|C|} and S': a colliding tau would batch-invert a zero and
+  // poison every barycentric weight, so it is rejected with a typed error
+  // instead (callers resample; the collision probability for a uniform tau
+  // is (2|C|+2)/|F|).
   StatusOr<Evaluation> EvaluateAtTau(const F& tau) const {
     obs::Span span("qap.evaluate_at_tau");
     const size_t m = Degree();
     const size_t rows = cs_->NumVariables() + 1;
 
-    // Barycentric pieces over points 0..m:
-    //   ell(tau) = prod_k (tau - k)
-    //   1/v_j    = prod_{k != j} (j - k), built incrementally:
-    //              1/v_{j+1} = 1/v_j · (j+1) / (j - m)
-    //   c_j      = ell(tau) · v_j / (tau - j)
-    // We batch-invert the products (1/v_j)·(tau - j) to get all c_j with a
-    // single field inversion.
-    std::vector<F> diff(m + 1);
+    // Barycentric pieces over points 0..m and over S' = {m+1..2m+1}:
+    //   ell(tau)  = prod_{k <= m} (tau - k)
+    //   ell'(tau) = prod_{k = m+1..2m+1} (tau - k)
+    //   1/v_j     = prod_{k != j} (j - k) over {0..m}, built incrementally:
+    //               1/v_{j+1} = 1/v_j · (j+1) / (j - m)
+    //   c_j       = ell(tau) · v_j / (tau - j)
+    //   L_j       = ell'(tau) · v_j / (tau - (m+1+j))
+    // S' is {0..m} shifted by m+1, so both sets share the weights v_j. We
+    // batch-invert the products (1/v_j)·(tau - point) over both sets to get
+    // every c_j and L_j with a single field inversion.
+    std::vector<F> diff(2 * m + 2);
     F ell = F::One();
-    for (size_t k = 0; k <= m; k++) {
+    F ell_s = F::One();
+    for (size_t k = 0; k < diff.size(); k++) {
       diff[k] = tau - F::FromUint(k);
       if (diff[k].IsZero()) {
         return OutOfRangeError(
-            "tau collides with interpolation point " + std::to_string(k) +
-            " of the QAP point set {0.." + std::to_string(m) + "}");
+            "tau collides with point " + std::to_string(k) +
+            " of the QAP point set {0.." + std::to_string(m) +
+            "} or of the quotient's point set {" + std::to_string(m + 1) +
+            ".." + std::to_string(2 * m + 1) + "}");
       }
-      ell *= diff[k];
+      (k <= m ? ell : ell_s) *= diff[k];
     }
 
     // inverses of 1..m for the incremental weight recurrence
@@ -234,28 +284,31 @@ class Qap {
     }
     BatchInvert(small_inv.data() + 1, m);
 
-    // Slot m+1 carries diff[0] so D(tau)'s inversion rides the same batch
+    // Slot 2m+2 carries diff[0] so D(tau)'s inversion rides the same batch
     // instead of paying its own Fermat walk below.
-    std::vector<F> denom(m + 2);  // (1/v_j)·(tau - j)
-    F iv = F::One();              // 1/v_0 = (-1)^m · m!
+    std::vector<F> denom(2 * m + 3);  // (1/v_j)·(tau - point)
+    F iv = F::One();                  // 1/v_0 = (-1)^m · m!
     for (size_t k = 1; k <= m; k++) {
       iv *= -F::FromUint(k);
     }
     for (size_t j = 0; j <= m; j++) {
       denom[j] = iv * diff[j];
+      denom[m + 1 + j] = iv * diff[m + 1 + j];
       if (j < m) {
         // 1/v_{j+1} = 1/v_j · (j+1) / (j - m) = -1/v_j · (j+1) · inv(m-j)
         iv = -(iv * F::FromUint(j + 1) * small_inv[m - j]);
       }
     }
-    denom[m + 1] = diff[0];
-    BatchInvert(denom.data(), m + 2);
+    denom[2 * m + 2] = diff[0];
+    BatchInvert(denom.data(), 2 * m + 3);
     std::vector<F> cj(m + 1);
+    Evaluation ev;
+    ev.h_basis.resize(m + 1);
     for (size_t j = 0; j <= m; j++) {
       cj[j] = ell * denom[j];
+      ev.h_basis[j] = ell_s * denom[m + 1 + j];
     }
 
-    Evaluation ev;
     ev.a_rows.assign(rows, F::Zero());
     ev.b_rows.assign(rows, F::Zero());
     ev.c_rows.assign(rows, F::Zero());
@@ -268,7 +321,7 @@ class Qap {
       Accumulate(c.c, w, &ev.c_rows);
     }
     // D(tau) = ell(tau) / (tau - 0), with 1/(tau - 0) from the batch above.
-    ev.d_tau = ell * denom[m + 1];
+    ev.d_tau = ell * denom[2 * m + 2];
     return ev;
   }
 
@@ -294,7 +347,7 @@ class Qap {
 
   const R1cs<F>* cs_;
   mutable std::unique_ptr<SubproductTree<F>> tree_;
-  mutable std::unique_ptr<ProverContext> prover_;
+  mutable std::unique_ptr<ProverTables> prover_;
 };
 
 }  // namespace zaatar

@@ -1,6 +1,6 @@
 // Residue-domain (CRT/NTT evaluation form) polynomials: the prover-side
-// representation that keeps the whole ComputeH pipeline inside the 62-bit
-// NTT prime basis. Coefficients are exact non-negative integers v < 2^bound,
+// representation that runs ComputeH's products inside the 62-bit NTT prime
+// basis. Coefficients are exact non-negative integers v < 2^bound,
 // stored as Montgomery-form residues v mod q_i per prime; because integer
 // ring arithmetic commutes with reduction mod p, the fold into the target
 // field F happens once at output instead of once per multiply (the old
@@ -213,8 +213,8 @@ class CrtBasis {
 };
 
 // Forward NTT images of a fixed residue polynomial at one transform size,
-// cached so repeated products against the same operand (subproduct-tree
-// nodes, the divisor inverse) pay one forward transform total.
+// cached so repeated products against the same operand (the QAP prover's
+// shift kernel) pay one forward transform total.
 struct NttImages {
   size_t log_n = 0;
   size_t src_len = 0;
@@ -446,18 +446,20 @@ class ResiduePoly {
     return im;
   }
 
-  // a ⊛ img, keeping the low out_len coefficients of the full product (the
-  // transform size must cover the full product so no cyclic wrap occurs).
+  // Coefficients lo..lo+count-1 of a ⊛ img. The transform may be shorter
+  // than the full product: a cyclic convolution of size n folds product
+  // index i + n onto i, which only touches indices below lo as long as the
+  // full product length is at most n + lo (a middle product when lo > 0).
   static ResiduePoly MulImages(const ResiduePoly& a, const NttImages& bimg,
-                               size_t out_len, size_t workers) {
+                               size_t lo, size_t count, size_t workers) {
     const CrtBasis<F>& basis = *a.basis_;
     size_t log_n = bimg.log_n;
     size_t n = size_t{1} << log_n;
-    assert(a.len_ + bimg.src_len - 1 <= n && out_len <= n);
+    assert(a.len_ + bimg.src_len - 1 <= n + lo && lo + count <= n);
     size_t bound = a.bound_bits_ + bimg.src_bound_bits +
                    CeilLog2(std::min(a.len_, bimg.src_len));
     assert(bound <= basis.capacity_bits());
-    ResiduePoly out = Make(basis, out_len, bound);
+    ResiduePoly out = Make(basis, count, bound);
     obs::MetricAdd("ntt.forward", basis.k());
     obs::MetricAdd("ntt.inverse", basis.k());
     obs::MetricObserve("ntt.points", n);
@@ -471,47 +473,8 @@ class ResiduePoly {
         fa[i] = f.Mul(fa[i], bi[i]);
       }
       NttInverse(pi, fa.data(), log_n);
-      std::copy(fa.begin(), fa.begin() + out_len, out.r_[pi].begin());
-    });
-    return out;
-  }
-
-  // u ⊛ ximg + v ⊛ yimg with a single inverse transform per prime — the
-  // subproduct-tree combine step (parent = left·m_right + right·m_left).
-  static ResiduePoly FusedMulAdd(const ResiduePoly& u, const NttImages& ximg,
-                                 const ResiduePoly& v, const NttImages& yimg,
-                                 size_t out_len, size_t workers) {
-    assert(u.basis_ == v.basis_ && ximg.log_n == yimg.log_n);
-    const CrtBasis<F>& basis = *u.basis_;
-    size_t log_n = ximg.log_n;
-    size_t n = size_t{1} << log_n;
-    assert(u.len_ + ximg.src_len - 1 <= n);
-    assert(v.len_ + yimg.src_len - 1 <= n);
-    assert(out_len <= n);
-    size_t bound_ux = u.bound_bits_ + ximg.src_bound_bits +
-                      CeilLog2(std::min(u.len_, ximg.src_len));
-    size_t bound_vy = v.bound_bits_ + yimg.src_bound_bits +
-                      CeilLog2(std::min(v.len_, yimg.src_len));
-    size_t bound = std::max(bound_ux, bound_vy) + 1;
-    assert(bound <= basis.capacity_bits());
-    ResiduePoly out = Make(basis, out_len, bound);
-    obs::MetricAdd("ntt.forward", 2 * basis.k());
-    obs::MetricAdd("ntt.inverse", basis.k());
-    obs::MetricObserve("ntt.points", n);
-    ParallelFor(basis.k(), workers, [&](size_t pi) {
-      const MontField64& f = basis.field(pi);
-      std::vector<uint64_t> fu(n, 0), fv(n, 0);
-      std::copy(u.r_[pi].begin(), u.r_[pi].end(), fu.begin());
-      std::copy(v.r_[pi].begin(), v.r_[pi].end(), fv.begin());
-      NttForward(pi, fu.data(), log_n);
-      NttForward(pi, fv.data(), log_n);
-      const uint64_t* xi = ximg.img[pi].data();
-      const uint64_t* yi = yimg.img[pi].data();
-      for (size_t i = 0; i < n; i++) {
-        fu[i] = f.Add(f.Mul(fu[i], xi[i]), f.Mul(fv[i], yi[i]));
-      }
-      NttInverse(pi, fu.data(), log_n);
-      std::copy(fu.begin(), fu.begin() + out_len, out.r_[pi].begin());
+      std::copy(fa.begin() + lo, fa.begin() + lo + count,
+                out.r_[pi].begin());
     });
     return out;
   }

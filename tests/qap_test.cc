@@ -4,12 +4,73 @@
 
 #include "src/constraints/transform.h"
 #include "src/field/fields.h"
+#include "src/pcp/zaatar_pcp.h"
 #include "tests/test_util.h"
 
 namespace zaatar {
 namespace {
 
 using F = F128;
+
+// The Lagrange basis of S' = {m+1..2m+1} at t, straight from the product
+// formula: O(m^2), independent of the barycentric fast path.
+template <typename Fd>
+std::vector<Fd> NaiveShiftBasis(size_t m, const Fd& t) {
+  std::vector<Fd> out(m + 1);
+  for (size_t k = 0; k <= m; k++) {
+    Fd num = Fd::One(), den = Fd::One();
+    for (size_t i = 0; i <= m; i++) {
+      if (i != k) {
+        num *= t - Fd::FromUint(m + 1 + i);
+        den *= Fd::FromUint(m + 1 + k) - Fd::FromUint(m + 1 + i);
+      }
+    }
+    out[k] = num * den.Inverse();
+  }
+  return out;
+}
+
+// The polynomial of degree <= m whose values on S' are h, evaluated at t.
+template <typename Fd>
+Fd EvaluateOnShift(const std::vector<Fd>& h, const Fd& t) {
+  std::vector<Fd> basis = NaiveShiftBasis(h.size() - 1, t);
+  Fd acc = Fd::Zero();
+  for (size_t k = 0; k < h.size(); k++) {
+    acc += h[k] * basis[k];
+  }
+  return acc;
+}
+
+// P_w(s_k) / D(s_k) on S' for any assignment, with A, B, C built by naive
+// Lagrange interpolation through (j, A(j)) for j = 0..m.
+template <typename Fd>
+std::vector<Fd> NaiveQuotientOnShift(const R1cs<Fd>& cs,
+                                     const std::vector<Fd>& w) {
+  const size_t m = cs.NumConstraints();
+  std::vector<Fd> points(m + 1), ea(m + 1, Fd::Zero()), eb(m + 1, Fd::Zero()),
+      ec(m + 1, Fd::Zero());
+  for (size_t j = 0; j <= m; j++) {
+    points[j] = Fd::FromUint(j);
+  }
+  for (size_t j = 0; j < m; j++) {
+    ea[j + 1] = cs.constraints[j].a.Evaluate(w);
+    eb[j + 1] = cs.constraints[j].b.Evaluate(w);
+    ec[j + 1] = cs.constraints[j].c.Evaluate(w);
+  }
+  Polynomial<Fd> pw = InterpolateNaive(points, ea) *
+                          InterpolateNaive(points, eb) -
+                      InterpolateNaive(points, ec);
+  std::vector<Fd> out(m + 1);
+  for (size_t k = 0; k <= m; k++) {
+    Fd s = Fd::FromUint(m + 1 + k);
+    Fd d = Fd::One();
+    for (size_t j = 1; j <= m; j++) {
+      d *= s - Fd::FromUint(j);
+    }
+    out[k] = pw.Evaluate(s) * d.Inverse();
+  }
+  return out;
+}
 
 struct QapFixture {
   RandomSystem<F> rs;
@@ -34,8 +95,9 @@ TEST(QapTest, HDividesExactlyForSatisfyingAssignment) {
   auto hr = qap.ComputeH(f.witness);
   EXPECT_TRUE(hr.exact);
   EXPECT_EQ(hr.h.size(), qap.Degree() + 1);
-  // H(0) = 0 because P_w vanishes at the extra interpolation point 0.
-  EXPECT_TRUE(hr.h[0].IsZero());
+  // H(0) = 0 because P_w vanishes at the extra interpolation point 0: the
+  // values on S' must extrapolate to zero there.
+  EXPECT_TRUE(EvaluateOnShift(hr.h, F::Zero()).IsZero());
 }
 
 TEST(QapTest, HDoesNotDivideForBadAssignment) {
@@ -54,7 +116,9 @@ TEST(QapTest, HDoesNotDivideForBadAssignment) {
 }
 
 // The core verifier identity: D(tau)·H(tau) = A(tau)·B(tau) - C(tau), where
-// the right side is assembled from the evaluation rows and the witness.
+// H(tau) comes from h through S''s Lagrange basis at tau (the verifier's
+// q_d) and the right side is assembled from the evaluation rows and the
+// witness.
 TEST(QapTest, DivisibilityIdentityAtRandomPoints) {
   Prg prg(72);
   auto f = QapFixture::Make(prg);
@@ -65,11 +129,10 @@ TEST(QapTest, DivisibilityIdentityAtRandomPoints) {
     auto ev_or = qap.EvaluateAtTau(tau);
     ASSERT_TRUE(ev_or.ok()) << ev_or.status().ToString();
     const auto& ev = *ev_or;
+    ASSERT_EQ(ev.h_basis.size(), hr.h.size());
     F h_tau = F::Zero();
-    F pw = F::One();
-    for (const F& hc : hr.h) {
-      h_tau += hc * pw;
-      pw *= tau;
+    for (size_t k = 0; k < hr.h.size(); k++) {
+      h_tau += hr.h[k] * ev.h_basis[k];
     }
     F a = ev.a_rows[0], b = ev.b_rows[0], c = ev.c_rows[0];
     for (size_t i = 0; i < f.witness.size(); i++) {
@@ -164,15 +227,47 @@ TEST(QapTest, EvaluateAtTauRejectsInterpolationPoints) {
     ASSERT_FALSE(ev_or.ok()) << "tau = " << k << " is an interpolation point";
     EXPECT_EQ(ev_or.status().code(), StatusCode::kOutOfRange);
   }
-  // The first point outside the set is fine.
-  EXPECT_TRUE(qap.EvaluateAtTau(F::FromUint(qap.Degree() + 1)).ok());
+  // The first point outside both the interpolation set and S' is fine.
+  EXPECT_TRUE(qap.EvaluateAtTau(F::FromUint(2 * qap.Degree() + 2)).ok());
 }
 
-// The residue-pipeline ComputeH must match the frozen coefficient-form
-// ComputeHNaive bit for bit — same h vector, same exact flag — for
-// satisfying, perturbed, and fully random assignments. Run across system
-// sizes that land on both sides of the subproduct tree's residue switch
-// level (F-domain combines below length-32 nodes, residue combines above).
+// The quotient's points S' = {m+1..2m+1} collide just as badly: the S'
+// Lagrange basis would batch-invert a zero there.
+TEST(QapTest, EvaluateAtTauRejectsQuotientPoints) {
+  Prg prg(77);
+  auto f = QapFixture::Make(prg, 4, 7);
+  Qap<F> qap(f.transform.r1cs);
+  const size_t m = qap.Degree();
+  for (size_t k = m + 1; k <= 2 * m + 1; k++) {
+    auto ev_or = qap.EvaluateAtTau(F::FromUint(k));
+    ASSERT_FALSE(ev_or.ok()) << "tau = " << k << " is a point of S'";
+    EXPECT_EQ(ev_or.status().code(), StatusCode::kOutOfRange);
+  }
+}
+
+// q_d (unblinded) is S''s Lagrange basis at the repetition's tau.
+TEST(QapTest, DivisibilityQueryIsShiftLagrangeBasis) {
+  Prg prg(78);
+  auto f = QapFixture::Make(prg, 4, 9);
+  Qap<F> qap(f.transform.r1cs);
+  auto q = ZaatarPcp<F>::GenerateQueries(qap, PcpParams::Light(), prg);
+  ASSERT_FALSE(q.reps.empty());
+  for (const auto& rep : q.reps) {
+    const auto& qd = q.h_queries[rep.qd];
+    const auto& blind = q.h_queries[rep.blind_h];
+    std::vector<F> want = NaiveShiftBasis(qap.Degree(), rep.tau);
+    ASSERT_EQ(qd.size(), want.size());
+    for (size_t k = 0; k < want.size(); k++) {
+      EXPECT_EQ(qd[k] - blind[k], want[k]) << "k = " << k;
+    }
+  }
+}
+
+// ComputeH against the coefficient-form references, element for element.
+// For a satisfying assignment h must be ComputeHNaive's quotient evaluated
+// on S'; for perturbed, random and zero assignments (where no polynomial
+// quotient exists) it must be P_w(s)/D(s) from naive-interpolated A, B, C.
+// The exact flag must agree with ComputeHNaive's remainder test throughout.
 template <typename Fd>
 void CheckComputeHDifferential(uint64_t seed, size_t num_constraints) {
   Prg prg(seed);
@@ -180,33 +275,38 @@ void CheckComputeHDifferential(uint64_t seed, size_t num_constraints) {
   auto transform = GingerToZaatar(rs.system);
   auto witness = transform.ExtendAssignment(rs.assignment);
   Qap<Fd> qap(transform.r1cs);
-  SCOPED_TRACE(testing::Message() << "m = " << qap.Degree());
+  const size_t m = qap.Degree();
+  SCOPED_TRACE(testing::Message() << "m = " << m);
 
   auto fast = qap.ComputeH(witness);
   auto slow = qap.ComputeHNaive(witness);
   EXPECT_TRUE(fast.exact);
   EXPECT_EQ(fast.exact, slow.exact);
-  EXPECT_EQ(fast.h, slow.h);
+  Polynomial<Fd> quotient(slow.h);
+  ASSERT_EQ(fast.h.size(), m + 1);
+  for (size_t k = 0; k <= m; k++) {
+    EXPECT_EQ(fast.h[k], quotient.Evaluate(Fd::FromUint(m + 1 + k)))
+        << "k = " << k;
+  }
 
   auto bad = witness;
   bad[prg.NextBounded(transform.r1cs.layout.num_unbound)] +=
       prg.NextNonzeroField<Fd>();
   if (!transform.r1cs.IsSatisfied(bad)) {
     auto fast_bad = qap.ComputeH(bad);
-    auto slow_bad = qap.ComputeHNaive(bad);
     EXPECT_FALSE(fast_bad.exact);
-    EXPECT_EQ(fast_bad.exact, slow_bad.exact);
-    EXPECT_EQ(fast_bad.h, slow_bad.h);
+    EXPECT_EQ(fast_bad.exact, qap.ComputeHNaive(bad).exact);
+    EXPECT_EQ(fast_bad.h, NaiveQuotientOnShift(transform.r1cs, bad));
   }
 
   auto random_w = prg.NextFieldVector<Fd>(witness.size());
   auto fast_r = qap.ComputeH(random_w);
-  auto slow_r = qap.ComputeHNaive(random_w);
-  EXPECT_EQ(fast_r.exact, slow_r.exact);
-  EXPECT_EQ(fast_r.h, slow_r.h);
+  EXPECT_EQ(fast_r.exact, qap.ComputeHNaive(random_w).exact);
+  EXPECT_EQ(fast_r.h, NaiveQuotientOnShift(transform.r1cs, random_w));
 
   std::vector<Fd> zero_w(witness.size(), Fd::Zero());
-  EXPECT_EQ(qap.ComputeH(zero_w).h, qap.ComputeHNaive(zero_w).h);
+  EXPECT_EQ(qap.ComputeH(zero_w).h,
+            NaiveQuotientOnShift(transform.r1cs, zero_w));
 }
 
 TEST(QapTest, ComputeHMatchesNaiveF128) {

@@ -175,9 +175,10 @@ TEST(ZaatarPcpTest, TauAvoidsInterpolationPoints) {
   auto f = Fixture::Make(prg);
   Qap<F> qap(f.transform.r1cs);
   auto q = Pcp::GenerateQueries(qap, PcpParams{}, prg);
+  // Neither the interpolation set {0..m} nor the quotient's S' {m+1..2m+1}.
   for (const auto& rep : q.reps) {
     EXPECT_GT(rep.tau.ToCanonical(),
-              typename F::Repr(static_cast<uint64_t>(qap.Degree())));
+              typename F::Repr(static_cast<uint64_t>(2 * qap.Degree() + 1)));
   }
 }
 

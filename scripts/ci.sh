@@ -410,6 +410,11 @@ fi
 if [[ -z "$ONLY" || "$ONLY" == "undefined" ]]; then
   UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1}" \
     run_config ubsan build-ubsan undefined
+  # The walker's static-value arithmetic (the 2^62 clip in __int128, the
+  # shifts) is exactly the signed-overflow and shift UB UBSan catches.
+  echo "==== [equiv] differential fuzz (UBSan, 200 iters) ===="
+  UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1}" ZAATAR_FUZZ_ITERS=200 \
+    watchdog ./build-ubsan/tests/equiv_fuzz_test
 fi
 
 # TSan covers the worker-pool code paths (ParallelFor and the multiexp

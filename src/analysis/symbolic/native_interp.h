@@ -1,22 +1,24 @@
-// Independent concrete reference interpreter for zlang — the ground truth
-// the equivalence checker compares the compiled constraint system against.
+// Concrete reference interpreter for zlang — the ground truth the
+// equivalence checker compares the compiled constraint system against.
 //
-// Deliberately field-free: values are 128-bit integers (and exact rational
-// pairs), so none of the constraint/solver machinery under test is reused.
-// Semantics mirror src/compiler/evaluator.h exactly, including the parts
-// that are observable only through accept/reject behavior:
+// The shared AST walker (src/compiler/walker.h) decides control flow and
+// staticness; this file is its NativeDomain, and it never touches the field
+// or the constraint machinery under test: values are 128-bit integers (and
+// exact rational pairs). What the domain contributes is the concrete
+// semantics of each compiled gadget, including the parts observable only
+// through accept/reject behavior:
 //
-//  - staticness tracking: `if`/ternary over a compile-time condition runs
-//    one arm; over a runtime condition BOTH arms run (their gadget
+//  - over a runtime `if`/ternary condition both arms run (their gadget
 //    preconditions apply unconditionally) and writes merge by the concrete
-//    condition value. Static tracking replicates the compiler's rules,
-//    including the 2^62 static-value clip.
+//    condition value;
 //  - gadget preconditions become rejects: idiv/imod with a non-positive (or
 //    >= 2^63) divisor, isqrt of a negative, bitwise ops on negatives, and
 //    failed asserts all make the witness solver throw or the constraints
-//    unsatisfiable — the interpreter throws NativeReject at the same points.
-//  - fixed-point rounding on assignment to rational<W,q> matches
-//    FixRational: num' = floor(num·2^q / den), den' = 2^q.
+//    unsatisfiable — the interpreter throws NativeReject at the same points;
+//  - fixed-point rounding on assignment to rational<W,q> computes
+//    num' = floor(num·2^q / den), den' = 2^q;
+//  - a runtime-indexed read outside the array reads 0 (the selector sum is
+//    empty); a runtime-indexed write outside it writes nothing.
 //
 // Values outside what __int128 can hold (possible for wide F220 programs)
 // raise NativeUnsupported; the caller skips that sample rather than
@@ -26,17 +28,14 @@
 #define SRC_ANALYSIS_SYMBOLIC_NATIVE_INTERP_H_
 
 #include <cstdint>
-#include <map>
 #include <optional>
-#include <set>
 #include <stdexcept>
 #include <string>
 #include <utility>
-#include <variant>
 #include <vector>
 
 #include "src/compiler/ast.h"
-#include "src/compiler/evaluator.h"
+#include "src/compiler/walker.h"
 
 namespace zaatar {
 
@@ -55,96 +54,123 @@ struct NativeResult {
   std::string detail;
 };
 
-class NativeInterp {
+class NativeDomain {
  public:
-  explicit NativeInterp(const ProgramAst& ast) : ast_(&ast) {}
+  using Int = __int128;
+  using Bool = bool;
+  using Out = __int128;
 
-  // slot_inputs: one signed integer per input slot (IoSlotSpec order).
-  NativeResult Run(const std::vector<int64_t>& slot_inputs) {
-    NativeResult result;
-    try {
-      env_.clear();
-      decl_types_.clear();
-      functions_.clear();
-      outputs_.clear();
-      write_logs_.clear();
-      call_depth_ = 0;
-      return_value_.reset();
-      inputs_ = &slot_inputs;
-      next_input_ = 0;
-      for (const auto& f : ast_->functions) {
-        functions_.emplace(f.name, &f);
-      }
-      for (const auto& d : ast_->decls) {
-        Declare(d);
-      }
-      if (next_input_ != slot_inputs.size()) {
-        throw NativeUnsupported("input slot count mismatch");
-      }
-      for (const auto& s : ast_->body) {
-        Exec(*s);
-      }
-      CollectOutputs(&result.outputs);
-    } catch (const NativeReject& e) {
-      result.status = NativeResult::Status::kReject;
-      result.detail = e.what();
-    } catch (const NativeUnsupported& e) {
-      result.status = NativeResult::Status::kUnsupported;
-      result.detail = e.what();
-    } catch (const std::exception& e) {
-      // Anything else (bad env lookups etc.) means the interpreter diverged
-      // structurally from the compiled program — treat as unsupported, never
-      // as agreement.
-      result.status = NativeResult::Status::kUnsupported;
-      result.detail = std::string("internal: ") + e.what();
+  explicit NativeDomain(const std::vector<int64_t>* inputs)
+      : inputs_(inputs) {}
+
+  size_t inputs_consumed() const { return next_input_; }
+
+  static Int Const(int64_t v) { return v; }
+  static Bool BoolConst(bool v) { return v; }
+  static Out IntOut(Int v) { return v; }
+  static Out BoolOut(Bool v) { return v ? 1 : 0; }
+
+  void SetSourceLine(size_t /*line*/) {}
+  void Declared(const Declaration& /*d*/, const TypeNode& /*type*/) {}
+  Int InputInt(size_t /*width*/) { return NextInput(); }
+  Bool InputBool() { return NextInput() != 0; }
+
+  Int Add(Int a, Int b, bool subtract, size_t /*line*/) {
+    return CheckedAdd(a, subtract ? -b : b);
+  }
+  Int Mul(Int a, Int b, size_t /*line*/) { return CheckedMul(a, b); }
+  Int Neg(Int a) { return -a; }
+
+  Int Shl(Int a, size_t k, size_t /*line*/) {
+    if (k >= 120) {
+      throw NativeUnsupported("shift too wide");
     }
-    return result;
+    return CheckedMul(a, static_cast<__int128>(1) << k);
+  }
+  Int Shr(Int a, size_t k, size_t /*line*/) {
+    if (k >= 126) {
+      return a < 0 ? -1 : 0;
+    }
+    return FloorDiv(a, static_cast<__int128>(1) << k);
+  }
+
+  // The compiled gadget bit-decomposes both operands; a negative value
+  // makes the solver throw (its canonical form exceeds the tracked width).
+  Int Bitwise(TokenKind op, Int a, Int b, size_t /*line*/) {
+    if (a < 0 || b < 0) {
+      throw NativeReject("bitwise operator on a negative value");
+    }
+    return op == TokenKind::kAmp    ? (a & b)
+           : op == TokenKind::kPipe ? (a | b)
+                                    : (a ^ b);
+  }
+
+  // The compiled DivFloor gadget needs 0 < divisor < 2^63.
+  std::pair<Int, Int> DivMod(Int a, Int b, size_t /*line*/) {
+    CheckDivisor(b, "idiv divisor must be positive and < 2^63");
+    Int q = FloorDiv(a, b);
+    return {q, a - CheckedMul(q, b)};
+  }
+
+  Int Sqrt(Int x, size_t /*line*/) {
+    if (x < 0) {
+      throw NativeReject("isqrt of a negative value");
+    }
+    __int128 s = 0;
+    // Bit-by-bit integer square root (x < 2^125 by the value cap).
+    for (int bit = 62; bit >= 0; bit--) {
+      __int128 cand = s + (static_cast<__int128>(1) << bit);
+      if (cand * cand <= x) {
+        s = cand;
+      }
+    }
+    return s;
+  }
+
+  Bool Less(Int a, Int b, size_t /*line*/) { return a < b; }
+  // Equal values need not be structurally equal: never decided here.
+  Bool Eq(Int a, Int b, std::optional<bool>* /*decided*/) { return a == b; }
+  Bool BoolEq(Bool x, Bool y) { return x == y; }
+  Bool Not(Bool x) { return !x; }
+  Bool And(Bool x, Bool y) { return x && y; }
+  Bool Or(Bool x, Bool y) { return x || y; }
+
+  void Assert(Bool c, size_t line) {
+    if (!c) {
+      throw NativeReject("assert failed at line " + std::to_string(line));
+    }
+  }
+
+  Int MuxInt(Bool c, Int a, Int b) { return c ? a : b; }
+  Bool MuxBool(Bool c, Bool a, Bool b) { return c ? a : b; }
+
+  Int SelectInt(const std::vector<Bool>& sels,
+                const std::vector<const Int*>& elems) {
+    return Select(sels, elems);
+  }
+  Bool SelectBool(const std::vector<Bool>& sels,
+                  const std::vector<const Bool*>& elems) {
+    return Select(sels, elems);
+  }
+  std::pair<Int, Int> SelectRat(const std::vector<Bool>& sels,
+                                const std::vector<const Int*>& nums,
+                                const std::vector<const Int*>& dens) {
+    return {Select(sels, nums), Select(sels, dens)};
+  }
+
+  Int FixScale(Int num, size_t k, size_t /*w*/, size_t /*line*/) {
+    return CheckedMul(num, static_cast<__int128>(1) << k);
+  }
+  Int FixShiftDown(Int num, size_t s, size_t /*line*/) {
+    return FloorDiv(num, static_cast<__int128>(1) << s);
+  }
+  Int FixDivide(Int num, Int den, size_t q, size_t /*w*/, size_t /*line*/) {
+    CheckDivisor(den, "fixed-point rounding with non-positive divisor");
+    return FloorDiv(CheckedMul(num, static_cast<__int128>(1) << q), den);
   }
 
  private:
-  // ----- values -----
-
   static constexpr __int128 kValueCap = static_cast<__int128>(1) << 125;
-  static constexpr __int128 kStaticClip = static_cast<__int128>(1) << 62;
-
-  struct NInt {
-    __int128 v = 0;
-    bool is_static = false;
-  };
-  struct NBool {
-    bool v = false;
-    bool is_static = false;
-  };
-  struct NRat {
-    __int128 num = 0;
-    __int128 den = 1;
-    bool num_static = false;
-    bool den_static = false;
-  };
-  struct NVal;
-  struct NArr {
-    std::vector<size_t> dims;
-    std::vector<NVal> elems;
-  };
-  struct NVal {
-    std::variant<NInt, NBool, NRat, NArr> v;
-    NVal() : v(NInt{0, true}) {}
-    NVal(NInt x) : v(x) {}                   // NOLINT(runtime/explicit)
-    NVal(NBool x) : v(x) {}                  // NOLINT(runtime/explicit)
-    NVal(NRat x) : v(x) {}                   // NOLINT(runtime/explicit)
-    NVal(NArr x) : v(std::move(x)) {}        // NOLINT(runtime/explicit)
-    bool IsInt() const { return std::holds_alternative<NInt>(v); }
-    bool IsBool() const { return std::holds_alternative<NBool>(v); }
-    bool IsRat() const { return std::holds_alternative<NRat>(v); }
-    bool IsArr() const { return std::holds_alternative<NArr>(v); }
-    const NInt& AsInt() const { return std::get<NInt>(v); }
-    const NBool& AsBool() const { return std::get<NBool>(v); }
-    const NRat& AsRat() const { return std::get<NRat>(v); }
-    const NArr& AsArr() const { return std::get<NArr>(v); }
-    NArr& AsArr() { return std::get<NArr>(v); }
-  };
-
-  static NInt StaticInt(__int128 v) { return NInt{v, true}; }
 
   static __int128 CheckedAdd(__int128 a, __int128 b) {
     __int128 r = a + b;
@@ -175,69 +201,22 @@ class NativeInterp {
     return q;
   }
 
-  static __int128 FloorMod(__int128 a, __int128 b) {
-    return a - CheckedMul(FloorDiv(a, b), b);
-  }
-
-  // Mirrors ClipStatic: staticness survives only while |v| < 2^62.
-  static bool ClippedStatic(bool s, __int128 v) {
-    return s && v < kStaticClip && v > -kStaticClip;
-  }
-
-  // ----- declarations -----
-
-  void Declare(const Declaration& d) {
-    if (d.kind == Declaration::Kind::kConstant) {
-      NVal v = Eval(*d.init);
-      env_[d.name] = v;
-      return;
-    }
-    TypeNode type = d.type;
-    if (d.width_expr != nullptr) {
-      type.width = static_cast<size_t>(EvalStaticInt(*d.width_expr));
-    }
-    if (d.den_width_expr != nullptr) {
-      type.den_width =
-          static_cast<size_t>(EvalStaticInt(*d.den_width_expr));
-    }
-    for (const auto& e : d.dim_exprs) {
-      type.dims.push_back(static_cast<size_t>(EvalStaticInt(*e)));
-    }
-    switch (d.kind) {
-      case Declaration::Kind::kInput:
-        env_[d.name] = MakeInputValue(type);
-        decl_types_[d.name] = type;
-        break;
-      case Declaration::Kind::kOutput:
-        outputs_.push_back({d.name, type});
-        env_[d.name] = DefaultValue(type);
-        decl_types_[d.name] = type;
-        break;
-      case Declaration::Kind::kLocal: {
-        NVal init = d.init != nullptr
-                        ? Coerce(Eval(*d.init), type)
-                        : DefaultValue(type);
-        env_[d.name] = std::move(init);
-        decl_types_[d.name] = type;
-        break;
+  // The selected slot, or 0 when the index matches none.
+  template <typename T>
+  static T Select(const std::vector<Bool>& sels,
+                  const std::vector<const T*>& elems) {
+    for (size_t i = 0; i < elems.size(); i++) {
+      if (sels[i]) {
+        return *elems[i];
       }
-      case Declaration::Kind::kConstant:
-        break;
     }
+    return T{};
   }
 
-  NVal MakeInputValue(const TypeNode& type) {
-    if (!type.IsArray()) {
-      return MakeScalarInput(type);
+  static void CheckDivisor(__int128 d, const char* what) {
+    if (d <= 0 || d >= (static_cast<__int128>(1) << 63)) {
+      throw NativeReject(what);
     }
-    NArr arr;
-    arr.dims = type.dims;
-    size_t count = type.ElementCount();
-    arr.elems.reserve(count);
-    for (size_t i = 0; i < count; i++) {
-      arr.elems.push_back(MakeScalarInput(type));
-    }
-    return NVal(std::move(arr));
   }
 
   int64_t NextInput() {
@@ -247,737 +226,45 @@ class NativeInterp {
     return (*inputs_)[next_input_++];
   }
 
-  NVal MakeScalarInput(const TypeNode& type) {
-    switch (type.kind) {
-      case TypeNode::Kind::kInt:
-        return NVal(NInt{NextInput(), false});
-      case TypeNode::Kind::kBool:
-        return NVal(NBool{NextInput() != 0, false});
-      case TypeNode::Kind::kRational: {
-        NRat r;
-        r.num = NextInput();
-        r.den = NextInput();
-        return NVal(r);
+  const std::vector<int64_t>* inputs_;
+  size_t next_input_ = 0;
+};
+
+class NativeInterp {
+ public:
+  explicit NativeInterp(const ProgramAst& ast) : ast_(&ast) {}
+
+  // slot_inputs: one signed integer per input slot (IoSlotSpec order).
+  NativeResult Run(const std::vector<int64_t>& slot_inputs) const {
+    NativeResult result;
+    try {
+      NativeDomain domain(&slot_inputs);
+      auto outputs = AstWalker<NativeDomain>(*ast_, &domain).Run();
+      if (domain.inputs_consumed() != slot_inputs.size()) {
+        throw NativeUnsupported("input slot count mismatch");
       }
-    }
-    return NVal();
-  }
-
-  NVal DefaultValue(const TypeNode& type) {
-    NVal scalar;
-    switch (type.kind) {
-      case TypeNode::Kind::kInt:
-        scalar = NVal(StaticInt(0));
-        break;
-      case TypeNode::Kind::kBool:
-        scalar = NVal(NBool{false, true});
-        break;
-      case TypeNode::Kind::kRational:
-        scalar = NVal(NRat{0, 1, true, true});
-        break;
-    }
-    if (!type.IsArray()) {
-      return scalar;
-    }
-    NArr arr;
-    arr.dims = type.dims;
-    arr.elems.assign(type.ElementCount(), scalar);
-    return NVal(std::move(arr));
-  }
-
-  NVal Coerce(NVal v, const TypeNode& type) {
-    if (type.kind == TypeNode::Kind::kRational && v.IsInt()) {
-      return NVal(RatFromInt(v.AsInt()));
-    }
-    return v;
-  }
-
-  static NRat RatFromInt(const NInt& v) {
-    return NRat{v.v, 1, v.is_static, true};
-  }
-
-  // ----- statements -----
-
-  void Exec(const Stmt& s) {
-    switch (s.kind) {
-      case Stmt::Kind::kBlock:
-        for (const auto& child : s.body) {
-          Exec(*child);
-        }
-        break;
-      case Stmt::Kind::kAssign:
-        ExecAssign(s);
-        break;
-      case Stmt::Kind::kIf:
-        ExecIf(s);
-        break;
-      case Stmt::Kind::kFor:
-        ExecFor(s);
-        break;
-      case Stmt::Kind::kAssert: {
-        NVal cond = Eval(*s.value);
-        if (!cond.AsBool().v) {
-          throw NativeReject("assert failed at line " +
-                             std::to_string(s.line));
-        }
-        break;
+      for (const auto& scalars : outputs) {
+        result.outputs.insert(result.outputs.end(), scalars.begin(),
+                              scalars.end());
       }
-      case Stmt::Kind::kVarDecl:
-        env_.erase(s.decl->name);
-        decl_types_.erase(s.decl->name);
-        Declare(*s.decl);
-        RecordWrite(s.decl->name);
-        break;
-      case Stmt::Kind::kReturn:
-        return_value_ = Eval(*s.value);
-        break;
+    } catch (const NativeReject& e) {
+      result.status = NativeResult::Status::kReject;
+      result.detail = e.what();
+    } catch (const NativeUnsupported& e) {
+      result.status = NativeResult::Status::kUnsupported;
+      result.detail = e.what();
+    } catch (const std::exception& e) {
+      // Anything else (a CompileError on a program the compiler rejects,
+      // etc.) means the walk diverged from the compiled program — treat as
+      // unsupported, never as agreement.
+      result.status = NativeResult::Status::kUnsupported;
+      result.detail = std::string("internal: ") + e.what();
     }
-  }
-
-  void ExecAssign(const Stmt& s) {
-    RecordWrite(s.name);
-    NVal rhs = Eval(*s.value);
-    rhs = CoerceAssign(s.name, std::move(rhs));
-    auto it = env_.find(s.name);
-    if (it == env_.end()) {
-      throw NativeUnsupported("assignment target vanished");
-    }
-    if (s.indices.empty()) {
-      it->second = std::move(rhs);
-      return;
-    }
-    NArr& arr = it->second.AsArr();
-    NInt index = LinearIndex(arr, s.indices);
-    if (index.is_static) {
-      // Compile-time index: the compiler checked bounds already.
-      size_t off = static_cast<size_t>(index.v);
-      if (off >= arr.elems.size()) {
-        throw NativeUnsupported("static index out of bounds");
-      }
-      arr.elems[off] = std::move(rhs);
-      return;
-    }
-    // Runtime index: every slot gets muxed on a selector — values keep, but
-    // staticness drops everywhere; an out-of-range index writes nothing.
-    for (size_t i = 0; i < arr.elems.size(); i++) {
-      NBool sel{index.v == static_cast<__int128>(i), false};
-      arr.elems[i] = Mux(sel, rhs, arr.elems[i]);
-    }
-  }
-
-  void ExecIf(const Stmt& s) {
-    NVal cond = Eval(*s.value);
-    const NBool& c = cond.AsBool();
-    if (c.is_static) {
-      const auto& arm = c.v ? s.body : s.else_body;
-      for (const auto& child : arm) {
-        Exec(*child);
-      }
-      return;
-    }
-    // Runtime condition: both arms execute (their asserts and gadget
-    // preconditions apply unconditionally, exactly as compiled), writes
-    // merge by the concrete condition value.
-    std::map<std::string, NVal> before = env_;
-    write_logs_.emplace_back();
-    for (const auto& child : s.body) {
-      Exec(*child);
-    }
-    std::set<std::string> then_writes = std::move(write_logs_.back());
-    write_logs_.pop_back();
-    std::map<std::string, NVal> then_env = std::move(env_);
-
-    env_ = before;
-    write_logs_.emplace_back();
-    for (const auto& child : s.else_body) {
-      Exec(*child);
-    }
-    std::set<std::string> else_writes = std::move(write_logs_.back());
-    write_logs_.pop_back();
-
-    std::set<std::string> written = then_writes;
-    written.insert(else_writes.begin(), else_writes.end());
-    for (const auto& name : written) {
-      RecordWrite(name);
-      env_[name] = Mux(c, then_env.at(name), env_.at(name));
-    }
-  }
-
-  void ExecFor(const Stmt& s) {
-    int64_t lo = EvalStaticInt(*s.lo);
-    int64_t hi = EvalStaticInt(*s.hi);
-    bool had_shadow = env_.count(s.name) != 0;
-    NVal shadow;
-    if (had_shadow) {
-      shadow = env_.at(s.name);
-    }
-    for (int64_t k = lo; k <= hi; k++) {
-      env_[s.name] = NVal(StaticInt(k));
-      for (const auto& child : s.body) {
-        Exec(*child);
-      }
-    }
-    if (had_shadow) {
-      env_[s.name] = shadow;
-    } else {
-      env_.erase(s.name);
-    }
-  }
-
-  void RecordWrite(const std::string& name) {
-    for (auto& log : write_logs_) {
-      log.insert(name);
-    }
-  }
-
-  NVal CoerceAssign(const std::string& name, NVal rhs) {
-    auto dt = decl_types_.find(name);
-    if (dt == decl_types_.end()) {
-      return rhs;
-    }
-    const TypeNode& type = dt->second;
-    if (type.kind != TypeNode::Kind::kRational) {
-      return rhs;
-    }
-    if (rhs.IsArr()) {
-      NArr arr = rhs.AsArr();
-      for (auto& elem : arr.elems) {
-        elem = NVal(FixRational(ToRat(elem), type.den_width));
-      }
-      return NVal(std::move(arr));
-    }
-    return NVal(FixRational(ToRat(rhs), type.den_width));
-  }
-
-  // Mirrors Evaluator::FixRational: every path computes
-  // num' = floor(num·2^q / den), den' = 2^q; the dynamic-denominator path
-  // additionally carries the DivFloor gadget's positivity precondition.
-  NRat FixRational(const NRat& x, size_t q) {
-    if (q >= 62) {
-      throw NativeUnsupported("fixed-point denominator too wide");
-    }
-    __int128 target = static_cast<__int128>(1) << q;
-    bool static_pow2 =
-        x.den_static && x.den > 0 && (x.den & (x.den - 1)) == 0;
-    NRat out;
-    out.den = target;
-    out.den_static = true;
-    if (!static_pow2) {
-      // Dynamic denominator: the compiled DivFloor gadget requires a
-      // positive divisor < 2^63 at runtime.
-      if (x.den <= 0 || x.den >= (static_cast<__int128>(1) << 63)) {
-        throw NativeReject("fixed-point rounding with non-positive divisor");
-      }
-      out.num = FloorDiv(CheckedMul(x.num, target), x.den);
-      out.num_static = false;
-      return out;
-    }
-    size_t e = 0;
-    while ((static_cast<__int128>(1) << e) < x.den) {
-      e++;
-    }
-    if (e <= q) {
-      out.num = CheckedMul(x.num, static_cast<__int128>(1) << (q - e));
-      out.num_static = ClippedStatic(x.num_static, out.num);
-    } else {
-      out.num = FloorDiv(x.num, static_cast<__int128>(1) << (e - q));
-      out.num_static = false;
-    }
-    return out;
-  }
-
-  // ----- expressions -----
-
-  NVal Eval(const Expr& e) {
-    switch (e.kind) {
-      case Expr::Kind::kIntLit:
-        return NVal(StaticInt(e.int_value));
-      case Expr::Kind::kBoolLit:
-        return NVal(NBool{e.int_value != 0, true});
-      case Expr::Kind::kVarRef: {
-        auto it = env_.find(e.name);
-        if (it == env_.end()) {
-          throw NativeUnsupported("undeclared identifier '" + e.name + "'");
-        }
-        return it->second;
-      }
-      case Expr::Kind::kIndex:
-        return EvalIndex(e);
-      case Expr::Kind::kBinary:
-        return EvalBinary(e);
-      case Expr::Kind::kUnary:
-        return EvalUnary(e);
-      case Expr::Kind::kTernary: {
-        NVal cond = Eval(*e.children[0]);
-        const NBool& c = cond.AsBool();
-        if (c.is_static) {
-          return Eval(c.v ? *e.children[1] : *e.children[2]);
-        }
-        NVal a = Eval(*e.children[1]);
-        NVal b = Eval(*e.children[2]);
-        return Mux(c, a, b);
-      }
-      case Expr::Kind::kCall:
-        return EvalCall(e);
-    }
-    throw NativeUnsupported("unknown expression kind");
-  }
-
-  int64_t EvalStaticInt(const Expr& e) {
-    NVal v = Eval(e);
-    if (!v.IsInt()) {
-      throw NativeUnsupported("expected a compile-time integer");
-    }
-    return static_cast<int64_t>(v.AsInt().v);
-  }
-
-  NVal EvalCall(const Expr& e) {
-    auto arg = [&](size_t i) { return Eval(*e.children[i]); };
-    if (e.name == "min" || e.name == "max") {
-      NVal a = arg(0), b = arg(1);
-      NBool a_less = Less(a, b);
-      return e.name == "min" ? Mux(a_less, a, b) : Mux(a_less, b, a);
-    }
-    if (e.name == "abs") {
-      NVal a = arg(0);
-      NVal neg = Negate(a);
-      NBool is_neg = Less(a, NVal(StaticInt(0)));
-      return Mux(is_neg, neg, a);
-    }
-    if (e.name == "idiv" || e.name == "imod") {
-      NVal a = arg(0), b = arg(1);
-      auto [q, r] = IntDivMod(a.AsInt(), b.AsInt());
-      return e.name == "idiv" ? NVal(q) : NVal(r);
-    }
-    if (e.name == "isqrt") {
-      NVal a = arg(0);
-      return NVal(IntSqrt(a.AsInt()));
-    }
-    auto fn = functions_.find(e.name);
-    if (fn != functions_.end()) {
-      return CallFunction(*fn->second, e);
-    }
-    throw NativeUnsupported("unknown function '" + e.name + "'");
-  }
-
-  NVal CallFunction(const FunctionDecl& f, const Expr& call) {
-    if (call_depth_ >= 64) {
-      throw NativeUnsupported("call depth limit exceeded");
-    }
-    std::vector<NVal> args;
-    args.reserve(f.params.size());
-    for (size_t i = 0; i < f.params.size(); i++) {
-      args.push_back(Eval(*call.children[i]));
-    }
-    std::map<std::string, NVal> saved_env = env_;
-    auto saved_decl_types = decl_types_;
-    for (size_t i = 0; i < f.params.size(); i++) {
-      const auto& p = f.params[i];
-      NVal v = args[i];
-      if (p.type.kind == TypeNode::Kind::kRational && v.IsInt()) {
-        v = NVal(RatFromInt(v.AsInt()));
-      }
-      env_[p.name] = std::move(v);
-      decl_types_.erase(p.name);
-    }
-    call_depth_++;
-    return_value_.reset();
-    for (const auto& s : f.body) {
-      Exec(*s);
-    }
-    call_depth_--;
-    if (!return_value_.has_value()) {
-      throw NativeUnsupported("function did not return");
-    }
-    NVal result = std::move(*return_value_);
-    return_value_.reset();
-    env_ = std::move(saved_env);
-    decl_types_ = std::move(saved_decl_types);
     return result;
   }
 
-  // idiv/imod: the compiled DivFloor gadget needs 0 < divisor < 2^63; the
-  // compile-time path only exists for static positive divisors and computes
-  // the same floor pair.
-  std::pair<NInt, NInt> IntDivMod(const NInt& a, const NInt& b) {
-    if (b.v <= 0 || b.v >= (static_cast<__int128>(1) << 63)) {
-      throw NativeReject("idiv divisor must be positive and < 2^63");
-    }
-    NInt q{FloorDiv(a.v, b.v), a.is_static && b.is_static};
-    NInt r{FloorMod(a.v, b.v), q.is_static};
-    q.is_static = ClippedStatic(q.is_static, q.v);
-    r.is_static = ClippedStatic(r.is_static, r.v);
-    return {q, r};
-  }
-
-  NInt IntSqrt(const NInt& x) {
-    if (x.v < 0) {
-      throw NativeReject("isqrt of a negative value");
-    }
-    __int128 s = 0;
-    // Bit-by-bit integer square root (x < 2^125 by the value cap).
-    for (int bit = 62; bit >= 0; bit--) {
-      __int128 cand = s + (static_cast<__int128>(1) << bit);
-      if (cand * cand <= x.v) {
-        s = cand;
-      }
-    }
-    return NInt{s, ClippedStatic(x.is_static && x.v >= 0, s)};
-  }
-
-  NVal EvalIndex(const Expr& e) {
-    const Expr& base = *e.children[0];
-    auto it = env_.find(base.name);
-    if (it == env_.end() || !it->second.IsArr()) {
-      throw NativeUnsupported("'" + base.name + "' is not an array");
-    }
-    const NArr& arr = it->second.AsArr();
-    NInt index = LinearIndexExprs(arr, e.children, 1);
-    if (index.is_static) {
-      size_t off = static_cast<size_t>(index.v);
-      if (index.v < 0 || off >= arr.elems.size()) {
-        throw NativeUnsupported("static index out of bounds");
-      }
-      return arr.elems[off];
-    }
-    // Runtime read compiles to a selector-masked sum: out-of-range reads 0.
-    if (index.v >= 0 &&
-        static_cast<size_t>(index.v) < arr.elems.size()) {
-      return Dynamicize(arr.elems[static_cast<size_t>(index.v)]);
-    }
-    return Dynamicize(ZeroLike(arr.elems[0]));
-  }
-
-  NInt LinearIndexExprs(const NArr& arr,
-                        const std::vector<ExprPtr>& exprs, size_t first) {
-    NInt idx = StaticInt(0);
-    for (size_t k = 0; k < arr.dims.size(); k++) {
-      NVal v = Eval(*exprs[first + k]);
-      idx = IntMul(idx, StaticInt(static_cast<int64_t>(arr.dims[k])));
-      idx = IntAdd(idx, v.AsInt(), false);
-    }
-    return idx;
-  }
-
-  NInt LinearIndex(const NArr& arr, const std::vector<ExprPtr>& indices) {
-    NInt idx = StaticInt(0);
-    for (size_t k = 0; k < arr.dims.size(); k++) {
-      NVal v = Eval(*indices[k]);
-      idx = IntMul(idx, StaticInt(static_cast<int64_t>(arr.dims[k])));
-      idx = IntAdd(idx, v.AsInt(), false);
-    }
-    return idx;
-  }
-
-  static NVal ZeroLike(const NVal& v) {
-    if (v.IsBool()) {
-      return NVal(NBool{false, false});
-    }
-    if (v.IsRat()) {
-      return NVal(NRat{0, 0, false, false});
-    }
-    return NVal(NInt{0, false});
-  }
-
-  static NVal Dynamicize(NVal v) {
-    if (v.IsInt()) {
-      NInt x = v.AsInt();
-      x.is_static = false;
-      return NVal(x);
-    }
-    if (v.IsBool()) {
-      NBool x = v.AsBool();
-      x.is_static = false;
-      return NVal(x);
-    }
-    if (v.IsRat()) {
-      NRat x = v.AsRat();
-      x.num_static = false;
-      x.den_static = false;
-      return NVal(x);
-    }
-    return v;
-  }
-
-  // ----- integer ops (staticness mirrors the compiler exactly) -----
-
-  NInt IntAdd(const NInt& a, const NInt& b, bool subtract) {
-    __int128 v = CheckedAdd(a.v, subtract ? -b.v : b.v);
-    return NInt{v, ClippedStatic(a.is_static && b.is_static, v)};
-  }
-
-  NInt IntMul(const NInt& a, const NInt& b) {
-    __int128 v = CheckedMul(a.v, b.v);
-    return NInt{v, ClippedStatic(a.is_static && b.is_static, v)};
-  }
-
-  static NInt IntNeg(const NInt& a) {
-    return NInt{-a.v, a.is_static};  // no clip, mirroring IntNeg
-  }
-
-  NBool Less(const NVal& a, const NVal& b) {
-    if (a.IsInt() && b.IsInt()) {
-      return NBool{a.AsInt().v < b.AsInt().v,
-                   a.AsInt().is_static && b.AsInt().is_static};
-    }
-    NRat ra = ToRat(a), rb = ToRat(b);
-    NInt l = IntMul(NInt{ra.num, ra.num_static}, NInt{rb.den, rb.den_static});
-    NInt r = IntMul(NInt{rb.num, rb.num_static}, NInt{ra.den, ra.den_static});
-    return NBool{l.v < r.v, l.is_static && r.is_static};
-  }
-
-  NBool Eq(const NVal& a, const NVal& b) {
-    if (a.IsBool() && b.IsBool()) {
-      return NBool{a.AsBool().v == b.AsBool().v,
-                   a.AsBool().is_static && b.AsBool().is_static};
-    }
-    if (a.IsInt() && b.IsInt()) {
-      return NBool{a.AsInt().v == b.AsInt().v,
-                   a.AsInt().is_static && b.AsInt().is_static};
-    }
-    NRat ra = ToRat(a), rb = ToRat(b);
-    NInt l = IntMul(NInt{ra.num, ra.num_static}, NInt{rb.den, rb.den_static});
-    NInt r = IntMul(NInt{rb.num, rb.num_static}, NInt{ra.den, ra.den_static});
-    return NBool{l.v == r.v, l.is_static && r.is_static};
-  }
-
-  NInt IntBitwise(TokenKind op, const NInt& a, const NInt& b) {
-    // The compiled gadget bit-decomposes both operands; a negative value
-    // makes the solver throw (its canonical form exceeds the tracked width).
-    if (a.v < 0 || b.v < 0) {
-      throw NativeReject("bitwise operator on a negative value");
-    }
-    __int128 r = op == TokenKind::kAmp    ? (a.v & b.v)
-                 : op == TokenKind::kPipe ? (a.v | b.v)
-                                          : (a.v ^ b.v);
-    return NInt{r, ClippedStatic(a.is_static && b.is_static, r)};
-  }
-
-  NInt IntShl(const NInt& a, size_t k) {
-    if (k >= 120) {
-      throw NativeUnsupported("shift too wide");
-    }
-    __int128 v = CheckedMul(a.v, static_cast<__int128>(1) << k);
-    return NInt{v, ClippedStatic(a.is_static, v)};
-  }
-
-  static NInt IntShr(const NInt& a, size_t k) {
-    if (k >= 126) {
-      return NInt{a.v < 0 ? -1 : 0, a.is_static};
-    }
-    __int128 v = FloorDiv(a.v, static_cast<__int128>(1) << k);
-    return NInt{v, a.is_static};
-  }
-
-  // ----- generic ops -----
-
-  NRat ToRat(const NVal& v) const {
-    if (v.IsRat()) {
-      return v.AsRat();
-    }
-    if (v.IsInt()) {
-      return RatFromInt(v.AsInt());
-    }
-    throw NativeUnsupported("expected a numeric value");
-  }
-
-  NVal Negate(const NVal& a) {
-    if (a.IsInt()) {
-      return NVal(IntNeg(a.AsInt()));
-    }
-    NRat r = a.AsRat();
-    r.num = -r.num;
-    return NVal(r);
-  }
-
-  NVal Mux(const NBool& c, const NVal& a, const NVal& b) {
-    if (c.is_static) {
-      return c.v ? a : b;
-    }
-    if (a.IsArr() || b.IsArr()) {
-      const NArr& aa = a.AsArr();
-      const NArr& bb = b.AsArr();
-      NArr out;
-      out.dims = aa.dims;
-      out.elems.reserve(aa.elems.size());
-      for (size_t i = 0; i < aa.elems.size(); i++) {
-        out.elems.push_back(Mux(c, aa.elems[i], bb.elems[i]));
-      }
-      return NVal(std::move(out));
-    }
-    if (a.IsBool() && b.IsBool()) {
-      return NVal(NBool{c.v ? a.AsBool().v : b.AsBool().v, false});
-    }
-    if (a.IsInt() && b.IsInt()) {
-      return NVal(NInt{c.v ? a.AsInt().v : b.AsInt().v, false});
-    }
-    NRat ra = ToRat(a), rb = ToRat(b);
-    NRat r;
-    r.num = c.v ? ra.num : rb.num;
-    r.den = c.v ? ra.den : rb.den;
-    return NVal(r);
-  }
-
-  NVal EvalBinary(const Expr& e) {
-    NVal a = Eval(*e.children[0]);
-    NVal b = Eval(*e.children[1]);
-    switch (e.op) {
-      case TokenKind::kPlus:
-      case TokenKind::kMinus: {
-        bool sub = e.op == TokenKind::kMinus;
-        if (a.IsInt() && b.IsInt()) {
-          return NVal(IntAdd(a.AsInt(), b.AsInt(), sub));
-        }
-        NRat ra = ToRat(a), rb = ToRat(b);
-        NRat r;
-        NInt n1d2 =
-            IntMul(NInt{ra.num, ra.num_static}, NInt{rb.den, rb.den_static});
-        NInt n2d1 =
-            IntMul(NInt{rb.num, rb.num_static}, NInt{ra.den, ra.den_static});
-        NInt num = IntAdd(n1d2, n2d1, sub);
-        NInt den =
-            IntMul(NInt{ra.den, ra.den_static}, NInt{rb.den, rb.den_static});
-        return NVal(NRat{num.v, den.v, num.is_static, den.is_static});
-      }
-      case TokenKind::kStar: {
-        if (a.IsInt() && b.IsInt()) {
-          return NVal(IntMul(a.AsInt(), b.AsInt()));
-        }
-        NRat ra = ToRat(a), rb = ToRat(b);
-        NInt num =
-            IntMul(NInt{ra.num, ra.num_static}, NInt{rb.num, rb.num_static});
-        NInt den =
-            IntMul(NInt{ra.den, ra.den_static}, NInt{rb.den, rb.den_static});
-        return NVal(NRat{num.v, den.v, num.is_static, den.is_static});
-      }
-      case TokenKind::kSlash: {
-        // Mirrors EvalDivide: static-int / static-int truncates; anything /
-        // positive static constant scales the denominator.
-        if (a.IsInt() && b.IsInt() && a.AsInt().is_static &&
-            b.AsInt().is_static) {
-          if (b.AsInt().v == 0) {
-            throw NativeUnsupported("static division by zero");
-          }
-          __int128 v = a.AsInt().v / b.AsInt().v;
-          return NVal(NInt{v, true});
-        }
-        NRat r = ToRat(a);
-        __int128 k = b.AsInt().v;
-        NInt den = IntMul(NInt{r.den, r.den_static},
-                          NInt{k, b.AsInt().is_static});
-        return NVal(NRat{r.num, den.v, r.num_static, den.is_static});
-      }
-      case TokenKind::kPercent: {
-        __int128 v = a.AsInt().v % b.AsInt().v;  // trunc, as compiled
-        return NVal(NInt{v, true});
-      }
-      case TokenKind::kLess:
-        return NVal(Less(a, b));
-      case TokenKind::kGreater:
-        return NVal(Less(b, a));
-      case TokenKind::kLessEq: {
-        NBool g = Less(b, a);
-        return NVal(NBool{!g.v, g.is_static});
-      }
-      case TokenKind::kGreaterEq: {
-        NBool l = Less(a, b);
-        return NVal(NBool{!l.v, l.is_static});
-      }
-      case TokenKind::kEqEq:
-        return NVal(Eq(a, b));
-      case TokenKind::kNotEq: {
-        NBool q = Eq(a, b);
-        return NVal(NBool{!q.v, q.is_static});
-      }
-      case TokenKind::kAndAnd: {
-        const NBool& x = a.AsBool();
-        const NBool& y = b.AsBool();
-        if (x.is_static) {
-          return x.v ? NVal(y) : NVal(NBool{false, true});
-        }
-        if (y.is_static) {
-          return y.v ? NVal(x) : NVal(NBool{false, true});
-        }
-        return NVal(NBool{x.v && y.v, false});
-      }
-      case TokenKind::kOrOr: {
-        const NBool& x = a.AsBool();
-        const NBool& y = b.AsBool();
-        if (x.is_static) {
-          return x.v ? NVal(NBool{true, true}) : NVal(y);
-        }
-        if (y.is_static) {
-          return y.v ? NVal(NBool{true, true}) : NVal(x);
-        }
-        return NVal(NBool{x.v || y.v, false});
-      }
-      case TokenKind::kAmp:
-      case TokenKind::kPipe:
-      case TokenKind::kCaret:
-        return NVal(IntBitwise(e.op, a.AsInt(), b.AsInt()));
-      case TokenKind::kShl:
-      case TokenKind::kShr: {
-        size_t k = static_cast<size_t>(b.AsInt().v);
-        return NVal(e.op == TokenKind::kShl ? IntShl(a.AsInt(), k)
-                                            : IntShr(a.AsInt(), k));
-      }
-      default:
-        throw NativeUnsupported("unknown binary operator");
-    }
-  }
-
-  NVal EvalUnary(const Expr& e) {
-    NVal a = Eval(*e.children[0]);
-    if (e.op == TokenKind::kMinus) {
-      return Negate(a);
-    }
-    const NBool& x = a.AsBool();
-    return NVal(NBool{!x.v, x.is_static});
-  }
-
-  // ----- outputs -----
-
-  void CollectOutputs(std::vector<__int128>* out) {
-    for (const auto& [name, type] : outputs_) {
-      const NVal& v = env_.at(name);
-      CollectScalars(v, type, out);
-    }
-  }
-
-  void CollectScalars(const NVal& v, const TypeNode& type,
-                      std::vector<__int128>* out) {
-    if (v.IsArr()) {
-      for (const auto& elem : v.AsArr().elems) {
-        CollectScalars(elem, type, out);
-      }
-      return;
-    }
-    switch (type.kind) {
-      case TypeNode::Kind::kInt:
-        out->push_back(v.AsInt().v);
-        break;
-      case TypeNode::Kind::kBool:
-        out->push_back(v.AsBool().v ? 1 : 0);
-        break;
-      case TypeNode::Kind::kRational: {
-        NRat r = ToRat(v);
-        out->push_back(r.num);
-        out->push_back(r.den);
-        break;
-      }
-    }
-  }
-
+ private:
   const ProgramAst* ast_;
-  std::map<std::string, NVal> env_;
-  std::map<std::string, TypeNode> decl_types_;
-  std::map<std::string, const FunctionDecl*> functions_;
-  std::vector<std::pair<std::string, TypeNode>> outputs_;
-  std::vector<std::set<std::string>> write_logs_;
-  size_t call_depth_ = 0;
-  std::optional<NVal> return_value_;
-  const std::vector<int64_t>* inputs_ = nullptr;
-  size_t next_input_ = 0;
 };
 
 // Width-respecting typed input sampler for differential testing: integers

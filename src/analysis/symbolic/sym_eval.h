@@ -2,15 +2,17 @@
 // and reduces each output slot to a SymPoly normal form when the program
 // stays inside the polynomial fragment of the language.
 //
-// The fragment: field arithmetic (+, -, *, unary -), compile-time-static
-// control flow and indexing, bounded `for` loops, inlined function calls,
-// boolean algebra (a·b, a+b-ab, 1-a, 1-a-b+2ab), muxes over conditions that
-// themselves have polynomial form, and exact power-of-two fixed-point
-// rescaling. Everything else — bit decompositions, comparisons on runtime
-// values, floor division, square roots, runtime array indexing — is not a
-// polynomial over the inputs; the affected value degrades to
-// SymPoly::Invalid() and the equivalence decider falls back from algebraic
-// comparison to randomized / differential testing (DESIGN.md §14).
+// The walk itself is the compiler's (src/compiler/walker.h), so arm
+// selection for `if`/`?:`, loop unrolling and static indexing are exactly
+// what was compiled. SymDomain supplies the polynomial values: field
+// arithmetic (+, -, *, unary -), boolean algebra (a·b, a+b-ab, 1-a,
+// 1-a-b+2ab), muxes over conditions that themselves have polynomial form,
+// and exact power-of-two fixed-point rescaling. Everything else — bit
+// decompositions, comparisons on runtime values, floor division, square
+// roots, runtime array indexing — is not a polynomial over the inputs; the
+// affected value degrades to SymPoly::Invalid() and the equivalence decider
+// falls back from algebraic comparison to randomized / differential testing
+// (DESIGN.md §14).
 //
 // `guarded` is set whenever the program can reject an input at runtime (an
 // assert not identically true, or a gadget with a precondition: floor
@@ -18,26 +20,20 @@
 // rounding). An algebraic-equality verdict is only an unconditional
 // input/output theorem when the program is unguarded; otherwise it holds on
 // the accepted domain and the decider caps the verdict accordingly.
-//
-// Static-value tracking deliberately replicates the compiler's rules
-// (including the 2^62 clip) so arm selection for `if`/`?:` matches what was
-// actually compiled.
 
 #ifndef SRC_ANALYSIS_SYMBOLIC_SYM_EVAL_H_
 #define SRC_ANALYSIS_SYMBOLIC_SYM_EVAL_H_
 
 #include <cstdint>
-#include <map>
 #include <optional>
-#include <set>
 #include <stdexcept>
 #include <string>
 #include <utility>
-#include <variant>
 #include <vector>
 
 #include "src/analysis/symbolic/sym_poly.h"
 #include "src/compiler/ast.h"
+#include "src/compiler/walker.h"
 
 namespace zaatar {
 
@@ -73,16 +69,145 @@ struct SymEvalResult {
 };
 
 template <typename F>
+class SymDomain {
+ public:
+  using P = SymPoly<F>;
+  using Int = P;
+  using Bool = P;  // 0/1-valued when valid
+  using Out = P;
+
+  bool guarded = false;
+  // Set by RunAt: input symbols bind to this point's coordinates.
+  const std::vector<F>* point = nullptr;
+
+  static P Const(int64_t v) { return P::Constant(F::FromInt(v)); }
+  static P BoolConst(bool v) { return P::Constant(v ? F::One() : F::Zero()); }
+  static P IntOut(const P& v) { return v; }
+  static P BoolOut(const P& v) { return v; }
+
+  void SetSourceLine(size_t /*line*/) {}
+  void Declared(const Declaration& /*d*/, const TypeNode& /*type*/) {}
+  P InputInt(size_t /*width*/) { return InputSymbol(); }
+  P InputBool() { return InputSymbol(); }
+
+  P Add(const P& a, const P& b, bool subtract, size_t /*line*/) {
+    return subtract ? a - b : a + b;
+  }
+  P Mul(const P& a, const P& b, size_t /*line*/) { return a * b; }
+  P Neg(const P& a) { return a * (-F::One()); }
+  P Shl(const P& a, size_t k, size_t /*line*/) { return a * PowerOfTwo(k); }
+
+  // Bit decompositions: outside the fragment. Shr and the comparison
+  // cannot reject; the rest carry a runtime precondition.
+  P Shr(const P& /*a*/, size_t /*k*/, size_t /*line*/) { return P::Invalid(); }
+  P Less(const P& /*a*/, const P& /*b*/, size_t /*line*/) {
+    return P::Invalid();
+  }
+  P Bitwise(TokenKind /*op*/, const P& /*a*/, const P& /*b*/,
+            size_t /*line*/) {
+    return Guarded();
+  }
+  std::pair<P, P> DivMod(const P& /*a*/, const P& /*b*/, size_t /*line*/) {
+    return {Guarded(), P::Invalid()};
+  }
+  P Sqrt(const P& /*a*/, size_t /*line*/) { return Guarded(); }
+
+  // Mirrors the compiler's LC-constant shortcut: a difference that is a
+  // constant polynomial decides the equality (e.g. `x == x`).
+  P Eq(const P& a, const P& b, std::optional<bool>* decided) {
+    P diff = a - b;
+    if (diff.valid() && diff.IsConstant()) {
+      *decided = diff.IsZero();
+    }
+    return P::Invalid();
+  }
+  P BoolEq(const P& x, const P& y) {
+    return P::Constant(F::One()) - x - y + x * y * F::FromInt(2);
+  }
+  P Not(const P& x) { return P::Constant(F::One()) - x; }
+  P And(const P& x, const P& y) { return x * y; }
+  P Or(const P& x, const P& y) { return x + y - x * y; }
+
+  void Assert(const P& c, size_t /*line*/) {
+    if (!(c.valid() && c.IsConstant() && c.ConstantValue() == F::One())) {
+      guarded = true;  // the compiled assert can reject inputs
+    }
+  }
+
+  // mux(c, a, b) = b + c·(a - b); degrades to Invalid when the condition
+  // has no polynomial form and the arms differ.
+  P MuxInt(const P& c, const P& a, const P& b) {
+    if (a.valid() && b.valid() && a == b) {
+      return a;  // same either way: condition form irrelevant
+    }
+    return b + c * (a - b);
+  }
+  P MuxBool(const P& c, const P& a, const P& b) { return MuxInt(c, a, b); }
+
+  // Runtime indexing runs IsZero selectors: outside the fragment.
+  P SelectInt(const std::vector<P>& /*sels*/,
+              const std::vector<const P*>& /*elems*/) {
+    return P::Invalid();
+  }
+  P SelectBool(const std::vector<P>& sels, const std::vector<const P*>& e) {
+    return SelectInt(sels, e);
+  }
+  std::pair<P, P> SelectRat(const std::vector<P>& /*sels*/,
+                            const std::vector<const P*>& /*nums*/,
+                            const std::vector<const P*>& /*dens*/) {
+    return {P::Invalid(), P::Invalid()};
+  }
+
+  // Exact power-of-two rescale stays polynomial; the static down-shift is a
+  // bit decomposition (cannot reject); a dynamic denominator runs DivFloor.
+  P FixScale(const P& num, size_t k, size_t /*w*/, size_t /*line*/) {
+    return num * PowerOfTwo(k);
+  }
+  P FixShiftDown(const P& /*num*/, size_t /*s*/, size_t /*line*/) {
+    return P::Invalid();
+  }
+  P FixDivide(const P& /*num*/, const P& /*den*/, size_t /*q*/,
+              size_t /*w*/, size_t /*line*/) {
+    return Guarded();
+  }
+
+ private:
+  P Guarded() {
+    guarded = true;
+    return P::Invalid();
+  }
+
+  static F PowerOfTwo(size_t k) {
+    F r = F::One();
+    for (size_t i = 0; i < k; i++) {
+      r = r.Double();
+    }
+    return r;
+  }
+
+  P InputSymbol() {
+    uint32_t id = next_symbol_++;
+    if (point == nullptr) {
+      return P::Symbol(id);
+    }
+    if (id >= point->size()) {
+      throw std::out_of_range("symbolic point has too few coordinates");
+    }
+    return P::Constant((*point)[id]);
+  }
+
+  uint32_t next_symbol_ = 0;
+};
+
+template <typename F>
 class SymEval {
  public:
+  // Outside what the walk models, every output degrades to Invalid.
   static SymEvalResult<F> Run(const ProgramAst& ast) {
-    SymEval ev;
     SymEvalResult<F> result;
     try {
-      ev.RunInternal(ast, &result);
+      RunInternal(ast, nullptr, &result);
     } catch (const std::exception&) {
-      // Outside what the symbolic walker models (e.g. a loop bound whose
-      // staticness we failed to mirror): degrade every output to Invalid.
       result.outputs.clear();
       result.guarded = true;
     }
@@ -97,11 +222,9 @@ class SymEval {
   // non-polynomial construct.
   static std::optional<std::vector<F>> RunAt(const ProgramAst& ast,
                                              const std::vector<F>& point) {
-    SymEval ev;
-    ev.point_ = &point;
     SymEvalResult<F> result;
     try {
-      ev.RunInternal(ast, &result);
+      RunInternal(ast, &point, &result);
     } catch (const std::exception&) {
       return std::nullopt;
     }
@@ -117,867 +240,17 @@ class SymEval {
   }
 
  private:
-  struct Unsupported : std::runtime_error {
-    Unsupported() : std::runtime_error("symbolic eval unsupported") {}
-  };
-
-  static constexpr int64_t kStaticClip = int64_t{1} << 62;
-
-  struct SInt {
-    SymPoly<F> poly;
-    std::optional<int64_t> sv;  // mirrors the compiler's static value
-  };
-  struct SBool {
-    SymPoly<F> poly;  // 0/1-valued when valid
-    std::optional<bool> sv;
-  };
-  struct SRat {
-    SymPoly<F> num;
-    SymPoly<F> den;
-    std::optional<int64_t> num_sv;
-    std::optional<int64_t> den_sv;
-  };
-  struct SVal;
-  struct SArr {
-    std::vector<size_t> dims;
-    std::vector<SVal> elems;
-  };
-  struct SVal {
-    std::variant<SInt, SBool, SRat, SArr> v;
-    SVal() : v(SInt{SymPoly<F>(), 0}) {}
-    SVal(SInt x) : v(std::move(x)) {}        // NOLINT(runtime/explicit)
-    SVal(SBool x) : v(std::move(x)) {}       // NOLINT(runtime/explicit)
-    SVal(SRat x) : v(std::move(x)) {}        // NOLINT(runtime/explicit)
-    SVal(SArr x) : v(std::move(x)) {}        // NOLINT(runtime/explicit)
-    bool IsInt() const { return std::holds_alternative<SInt>(v); }
-    bool IsBool() const { return std::holds_alternative<SBool>(v); }
-    bool IsRat() const { return std::holds_alternative<SRat>(v); }
-    bool IsArr() const { return std::holds_alternative<SArr>(v); }
-    const SInt& AsInt() const { return std::get<SInt>(v); }
-    const SBool& AsBool() const { return std::get<SBool>(v); }
-    const SRat& AsRat() const { return std::get<SRat>(v); }
-    const SArr& AsArr() const { return std::get<SArr>(v); }
-    SArr& AsArr() { return std::get<SArr>(v); }
-  };
-
-  static SInt StaticInt(int64_t v) {
-    return SInt{SymPoly<F>::Constant(F::FromInt(v)), ClipStatic(v)};
-  }
-  static std::optional<int64_t> ClipStatic(int64_t v) {
-    if (v >= kStaticClip || v <= -kStaticClip) {
-      return std::nullopt;
-    }
-    return v;
-  }
-  static SInt OpaqueInt() { return SInt{SymPoly<F>::Invalid(), std::nullopt}; }
-  static SBool OpaqueBool() {
-    return SBool{SymPoly<F>::Invalid(), std::nullopt};
-  }
-
-  void RunInternal(const ProgramAst& ast, SymEvalResult<F>* result) {
-    for (const auto& f : ast.functions) {
-      functions_.emplace(f.name, &f);
-    }
-    for (const auto& d : ast.decls) {
-      Declare(d);
-    }
-    for (const auto& s : ast.body) {
-      Exec(*s);
-    }
-    for (const auto& [name, type] : outputs_) {
-      CollectScalars(env_.at(name), type, &result->outputs);
-    }
-    result->guarded = guarded_;
-  }
-
-  // ----- declarations -----
-
-  void Declare(const Declaration& d) {
-    if (d.kind == Declaration::Kind::kConstant) {
-      env_[d.name] = Eval(*d.init);
-      return;
-    }
-    TypeNode type = d.type;
-    if (d.width_expr != nullptr) {
-      type.width = static_cast<size_t>(EvalStaticInt(*d.width_expr));
-    }
-    if (d.den_width_expr != nullptr) {
-      type.den_width = static_cast<size_t>(EvalStaticInt(*d.den_width_expr));
-    }
-    for (const auto& e : d.dim_exprs) {
-      type.dims.push_back(static_cast<size_t>(EvalStaticInt(*e)));
-    }
-    switch (d.kind) {
-      case Declaration::Kind::kInput:
-        env_[d.name] = MakeInputValue(type);
-        decl_types_[d.name] = type;
-        break;
-      case Declaration::Kind::kOutput:
-        outputs_.push_back({d.name, type});
-        env_[d.name] = DefaultValue(type);
-        decl_types_[d.name] = type;
-        break;
-      case Declaration::Kind::kLocal:
-        env_[d.name] = d.init != nullptr ? Coerce(Eval(*d.init), type)
-                                         : DefaultValue(type);
-        decl_types_[d.name] = type;
-        break;
-      case Declaration::Kind::kConstant:
-        break;
-    }
-  }
-
-  SVal MakeInputValue(const TypeNode& type) {
-    if (!type.IsArray()) {
-      return MakeScalarInput(type);
-    }
-    SArr arr;
-    arr.dims = type.dims;
-    size_t count = type.ElementCount();
-    arr.elems.reserve(count);
-    for (size_t i = 0; i < count; i++) {
-      arr.elems.push_back(MakeScalarInput(type));
-    }
-    return SVal(std::move(arr));
-  }
-
-  SymPoly<F> InputSymbol() {
-    uint32_t id = next_symbol_++;
-    if (point_ != nullptr) {
-      if (id >= point_->size()) {
-        throw Unsupported();
-      }
-      return SymPoly<F>::Constant((*point_)[id]);
-    }
-    return SymPoly<F>::Symbol(id);
-  }
-
-  SVal MakeScalarInput(const TypeNode& type) {
-    switch (type.kind) {
-      case TypeNode::Kind::kInt:
-        return SVal(SInt{InputSymbol(), std::nullopt});
-      case TypeNode::Kind::kBool:
-        return SVal(SBool{InputSymbol(), std::nullopt});
-      case TypeNode::Kind::kRational: {
-        SRat r;
-        r.num = InputSymbol();
-        r.den = InputSymbol();
-        return SVal(std::move(r));
+  static void RunInternal(const ProgramAst& ast, const std::vector<F>* point,
+                          SymEvalResult<F>* result) {
+    SymDomain<F> domain;
+    domain.point = point;
+    for (auto& scalars : AstWalker<SymDomain<F>>(ast, &domain).Run()) {
+      for (auto& p : scalars) {
+        result->outputs.push_back(std::move(p));
       }
     }
-    throw Unsupported();
+    result->guarded = domain.guarded;
   }
-
-  SVal DefaultValue(const TypeNode& type) {
-    SVal scalar;
-    switch (type.kind) {
-      case TypeNode::Kind::kInt:
-        scalar = SVal(StaticInt(0));
-        break;
-      case TypeNode::Kind::kBool:
-        scalar = SVal(SBool{SymPoly<F>(), false});
-        break;
-      case TypeNode::Kind::kRational:
-        scalar = SVal(SRat{SymPoly<F>(), SymPoly<F>::Constant(F::One()), 0, 1});
-        break;
-    }
-    if (!type.IsArray()) {
-      return scalar;
-    }
-    SArr arr;
-    arr.dims = type.dims;
-    arr.elems.assign(type.ElementCount(), scalar);
-    return SVal(std::move(arr));
-  }
-
-  SVal Coerce(SVal v, const TypeNode& type) {
-    if (type.kind == TypeNode::Kind::kRational && v.IsInt()) {
-      return SVal(RatFromInt(v.AsInt()));
-    }
-    return v;
-  }
-
-  static SRat RatFromInt(const SInt& v) {
-    return SRat{v.poly, SymPoly<F>::Constant(F::One()), v.sv, 1};
-  }
-
-  // ----- statements -----
-
-  void Exec(const Stmt& s) {
-    switch (s.kind) {
-      case Stmt::Kind::kBlock:
-        for (const auto& child : s.body) {
-          Exec(*child);
-        }
-        break;
-      case Stmt::Kind::kAssign:
-        ExecAssign(s);
-        break;
-      case Stmt::Kind::kIf:
-        ExecIf(s);
-        break;
-      case Stmt::Kind::kFor:
-        ExecFor(s);
-        break;
-      case Stmt::Kind::kAssert: {
-        SBool cond = Eval(*s.value).AsBool();
-        bool identically_true =
-            (cond.sv.has_value() && *cond.sv) ||
-            (cond.poly.valid() && cond.poly.IsConstant() &&
-             cond.poly.ConstantValue() == F::One());
-        if (!identically_true) {
-          guarded_ = true;  // the compiled assert can reject inputs
-        }
-        break;
-      }
-      case Stmt::Kind::kVarDecl:
-        env_.erase(s.decl->name);
-        decl_types_.erase(s.decl->name);
-        Declare(*s.decl);
-        RecordWrite(s.decl->name);
-        break;
-      case Stmt::Kind::kReturn:
-        return_value_ = Eval(*s.value);
-        break;
-    }
-  }
-
-  void ExecAssign(const Stmt& s) {
-    RecordWrite(s.name);
-    SVal rhs = CoerceAssign(s.name, Eval(*s.value));
-    auto it = env_.find(s.name);
-    if (it == env_.end()) {
-      throw Unsupported();
-    }
-    if (s.indices.empty()) {
-      it->second = std::move(rhs);
-      return;
-    }
-    SArr& arr = it->second.AsArr();
-    SInt index = LinearIndex(arr, s.indices);
-    if (index.sv.has_value()) {
-      size_t off = static_cast<size_t>(*index.sv);
-      if (off >= arr.elems.size()) {
-        throw Unsupported();
-      }
-      arr.elems[off] = std::move(rhs);
-      return;
-    }
-    // Runtime-index write: each slot is muxed on an IsZero selector, which
-    // is outside the polynomial fragment.
-    for (auto& elem : arr.elems) {
-      elem = MuxVal(OpaqueBool(), rhs, elem);
-    }
-  }
-
-  void ExecIf(const Stmt& s) {
-    SBool cond = Eval(*s.value).AsBool();
-    if (cond.sv.has_value()) {
-      const auto& arm = *cond.sv ? s.body : s.else_body;
-      for (const auto& child : arm) {
-        Exec(*child);
-      }
-      return;
-    }
-    std::map<std::string, SVal> before = env_;
-    write_logs_.emplace_back();
-    for (const auto& child : s.body) {
-      Exec(*child);
-    }
-    std::set<std::string> then_writes = std::move(write_logs_.back());
-    write_logs_.pop_back();
-    std::map<std::string, SVal> then_env = std::move(env_);
-
-    env_ = before;
-    write_logs_.emplace_back();
-    for (const auto& child : s.else_body) {
-      Exec(*child);
-    }
-    std::set<std::string> else_writes = std::move(write_logs_.back());
-    write_logs_.pop_back();
-
-    std::set<std::string> written = then_writes;
-    written.insert(else_writes.begin(), else_writes.end());
-    for (const auto& name : written) {
-      RecordWrite(name);
-      env_[name] = MuxVal(cond, then_env.at(name), env_.at(name));
-    }
-  }
-
-  void ExecFor(const Stmt& s) {
-    int64_t lo = EvalStaticInt(*s.lo);
-    int64_t hi = EvalStaticInt(*s.hi);
-    bool had_shadow = env_.count(s.name) != 0;
-    SVal shadow;
-    if (had_shadow) {
-      shadow = env_.at(s.name);
-    }
-    for (int64_t k = lo; k <= hi; k++) {
-      env_[s.name] = SVal(StaticInt(k));
-      for (const auto& child : s.body) {
-        Exec(*child);
-      }
-    }
-    if (had_shadow) {
-      env_[s.name] = shadow;
-    } else {
-      env_.erase(s.name);
-    }
-  }
-
-  void RecordWrite(const std::string& name) {
-    for (auto& log : write_logs_) {
-      log.insert(name);
-    }
-  }
-
-  SVal CoerceAssign(const std::string& name, SVal rhs) {
-    auto dt = decl_types_.find(name);
-    if (dt == decl_types_.end() ||
-        dt->second.kind != TypeNode::Kind::kRational) {
-      return rhs;
-    }
-    size_t q = dt->second.den_width;
-    if (rhs.IsArr()) {
-      SArr arr = rhs.AsArr();
-      for (auto& elem : arr.elems) {
-        elem = SVal(FixRational(ToRat(elem), q));
-      }
-      return SVal(std::move(arr));
-    }
-    return SVal(FixRational(ToRat(rhs), q));
-  }
-
-  // Exact power-of-two rescale stays polynomial; every other FixRational
-  // path runs a bit-decomposition or DivFloor gadget.
-  SRat FixRational(const SRat& x, size_t q) {
-    SRat out;
-    out.den = SymPoly<F>::Constant(F::FromInt(int64_t{1} << q));
-    out.den_sv = int64_t{1} << q;
-    bool static_pow2 = x.den_sv.has_value() && *x.den_sv > 0 &&
-                       (*x.den_sv & (*x.den_sv - 1)) == 0;
-    if (static_pow2) {
-      size_t e = 0;
-      while ((int64_t{1} << e) < *x.den_sv) {
-        e++;
-      }
-      if (e <= q) {
-        int64_t scale = int64_t{1} << (q - e);
-        out.num = x.num * F::FromInt(scale);
-        out.num_sv = std::nullopt;
-        if (x.num_sv.has_value()) {
-          __int128 v = static_cast<__int128>(*x.num_sv) * scale;
-          if (v < kStaticClip && v > -kStaticClip) {
-            out.num_sv = static_cast<int64_t>(v);
-          }
-        }
-        return out;
-      }
-      // Static down-shift uses a bit decomposition (cannot reject, but not
-      // polynomial).
-      out.num = SymPoly<F>::Invalid();
-      return out;
-    }
-    guarded_ = true;  // DivFloor gadget: rejects non-positive denominators
-    out.num = SymPoly<F>::Invalid();
-    return out;
-  }
-
-  // ----- expressions -----
-
-  SVal Eval(const Expr& e) {
-    switch (e.kind) {
-      case Expr::Kind::kIntLit:
-        return SVal(StaticInt(e.int_value));
-      case Expr::Kind::kBoolLit:
-        return SVal(SBool{e.int_value != 0 ? SymPoly<F>::Constant(F::One())
-                                           : SymPoly<F>(),
-                          e.int_value != 0});
-      case Expr::Kind::kVarRef: {
-        auto it = env_.find(e.name);
-        if (it == env_.end()) {
-          throw Unsupported();
-        }
-        return it->second;
-      }
-      case Expr::Kind::kIndex:
-        return EvalIndex(e);
-      case Expr::Kind::kBinary:
-        return EvalBinary(e);
-      case Expr::Kind::kUnary: {
-        SVal a = Eval(*e.children[0]);
-        if (e.op == TokenKind::kMinus) {
-          return Negate(a);
-        }
-        const SBool& x = a.AsBool();
-        SBool r;
-        r.poly = SymPoly<F>::Constant(F::One()) - x.poly;
-        if (x.sv.has_value()) {
-          r.sv = !*x.sv;
-        }
-        return SVal(std::move(r));
-      }
-      case Expr::Kind::kTernary: {
-        SBool cond = Eval(*e.children[0]).AsBool();
-        if (cond.sv.has_value()) {
-          return Eval(*cond.sv ? *e.children[1] : *e.children[2]);
-        }
-        SVal a = Eval(*e.children[1]);
-        SVal b = Eval(*e.children[2]);
-        return MuxVal(cond, a, b);
-      }
-      case Expr::Kind::kCall:
-        return EvalCall(e);
-    }
-    throw Unsupported();
-  }
-
-  int64_t EvalStaticInt(const Expr& e) {
-    SVal v = Eval(e);
-    if (!v.IsInt() || !v.AsInt().sv.has_value()) {
-      throw Unsupported();
-    }
-    return *v.AsInt().sv;
-  }
-
-  SVal EvalCall(const Expr& e) {
-    if (e.name == "min" || e.name == "max") {
-      SVal a = Eval(*e.children[0]);
-      SVal b = Eval(*e.children[1]);
-      SBool a_less = Less(a, b);
-      return e.name == "min" ? MuxVal(a_less, a, b) : MuxVal(a_less, b, a);
-    }
-    if (e.name == "abs") {
-      SVal a = Eval(*e.children[0]);
-      SBool is_neg = Less(a, SVal(StaticInt(0)));
-      return MuxVal(is_neg, Negate(a), a);
-    }
-    if (e.name == "idiv" || e.name == "imod") {
-      SInt a = Eval(*e.children[0]).AsInt();
-      SInt b = Eval(*e.children[1]).AsInt();
-      if (a.sv.has_value() && b.sv.has_value() && *b.sv > 0) {
-        int64_t q = *a.sv / *b.sv;
-        if ((*a.sv % *b.sv) != 0 && *a.sv < 0) {
-          q--;
-        }
-        int64_t r = *a.sv - q * *b.sv;
-        return SVal(StaticInt(e.name == "idiv" ? q : r));
-      }
-      guarded_ = true;  // DivFloor gadget precondition
-      return SVal(OpaqueInt());
-    }
-    if (e.name == "isqrt") {
-      SInt a = Eval(*e.children[0]).AsInt();
-      if (a.sv.has_value() && *a.sv >= 0) {
-        int64_t s = 0;
-        for (int bit = 31; bit >= 0; bit--) {
-          int64_t cand = s + (int64_t{1} << bit);
-          if (cand <= (int64_t{1} << 31) && cand * cand <= *a.sv) {
-            s = cand;
-          }
-        }
-        return SVal(StaticInt(s));
-      }
-      guarded_ = true;
-      return SVal(OpaqueInt());
-    }
-    auto fn = functions_.find(e.name);
-    if (fn == functions_.end() || call_depth_ >= 64) {
-      throw Unsupported();
-    }
-    const FunctionDecl& f = *fn->second;
-    std::vector<SVal> args;
-    for (size_t i = 0; i < f.params.size(); i++) {
-      args.push_back(Eval(*e.children[i]));
-    }
-    std::map<std::string, SVal> saved_env = env_;
-    auto saved_decl_types = decl_types_;
-    for (size_t i = 0; i < f.params.size(); i++) {
-      SVal v = args[i];
-      if (f.params[i].type.kind == TypeNode::Kind::kRational && v.IsInt()) {
-        v = SVal(RatFromInt(v.AsInt()));
-      }
-      env_[f.params[i].name] = std::move(v);
-      decl_types_.erase(f.params[i].name);
-    }
-    call_depth_++;
-    return_value_.reset();
-    for (const auto& s : f.body) {
-      Exec(*s);
-    }
-    call_depth_--;
-    if (!return_value_.has_value()) {
-      throw Unsupported();
-    }
-    SVal result = std::move(*return_value_);
-    return_value_.reset();
-    env_ = std::move(saved_env);
-    decl_types_ = std::move(saved_decl_types);
-    return result;
-  }
-
-  SVal EvalIndex(const Expr& e) {
-    const Expr& base = *e.children[0];
-    auto it = env_.find(base.name);
-    if (it == env_.end() || !it->second.IsArr()) {
-      throw Unsupported();
-    }
-    const SArr& arr = it->second.AsArr();
-    SInt idx = StaticInt(0);
-    for (size_t k = 0; k < arr.dims.size(); k++) {
-      SVal v = Eval(*e.children[1 + k]);
-      idx = IntMul(idx, StaticInt(static_cast<int64_t>(arr.dims[k])));
-      idx = IntAdd(idx, v.AsInt(), false);
-    }
-    if (idx.sv.has_value()) {
-      size_t off = static_cast<size_t>(*idx.sv);
-      if (*idx.sv < 0 || off >= arr.elems.size()) {
-        throw Unsupported();
-      }
-      return arr.elems[off];
-    }
-    // Runtime read: IsZero selectors, outside the fragment.
-    return OpaqueLike(arr.elems[0]);
-  }
-
-  SInt LinearIndex(const SArr& arr, const std::vector<ExprPtr>& indices) {
-    SInt idx = StaticInt(0);
-    for (size_t k = 0; k < arr.dims.size(); k++) {
-      SVal v = Eval(*indices[k]);
-      idx = IntMul(idx, StaticInt(static_cast<int64_t>(arr.dims[k])));
-      idx = IntAdd(idx, v.AsInt(), false);
-    }
-    return idx;
-  }
-
-  static SVal OpaqueLike(const SVal& v) {
-    if (v.IsBool()) {
-      return SVal(OpaqueBool());
-    }
-    if (v.IsRat()) {
-      return SVal(SRat{SymPoly<F>::Invalid(), SymPoly<F>::Invalid(),
-                       std::nullopt, std::nullopt});
-    }
-    return SVal(OpaqueInt());
-  }
-
-  // ----- integer / boolean algebra -----
-
-  static SInt IntAdd(const SInt& a, const SInt& b, bool subtract) {
-    SInt r;
-    r.poly = subtract ? a.poly - b.poly : a.poly + b.poly;
-    if (a.sv.has_value() && b.sv.has_value()) {
-      __int128 v = static_cast<__int128>(*a.sv) +
-                   (subtract ? -static_cast<__int128>(*b.sv)
-                             : static_cast<__int128>(*b.sv));
-      if (v < kStaticClip && v > -kStaticClip) {
-        r.sv = static_cast<int64_t>(v);
-      }
-    }
-    return r;
-  }
-
-  static SInt IntMul(const SInt& a, const SInt& b) {
-    SInt r;
-    r.poly = a.poly * b.poly;
-    if (a.sv.has_value() && b.sv.has_value()) {
-      __int128 v = static_cast<__int128>(*a.sv) * *b.sv;
-      if (v < kStaticClip && v > -kStaticClip) {
-        r.sv = static_cast<int64_t>(v);
-      }
-    }
-    return r;
-  }
-
-  SVal Negate(const SVal& a) {
-    if (a.IsInt()) {
-      SInt r;
-      r.poly = a.AsInt().poly * (-F::One());
-      if (a.AsInt().sv.has_value()) {
-        r.sv = -*a.AsInt().sv;  // no clip, mirroring IntNeg
-      }
-      return SVal(std::move(r));
-    }
-    SRat r = a.AsRat();
-    r.num = r.num * (-F::One());
-    if (r.num_sv.has_value()) {
-      r.num_sv = -*r.num_sv;
-    }
-    return SVal(std::move(r));
-  }
-
-  SRat ToRat(const SVal& v) const {
-    if (v.IsRat()) {
-      return v.AsRat();
-    }
-    if (v.IsInt()) {
-      return RatFromInt(v.AsInt());
-    }
-    throw Unsupported();
-  }
-
-  // Comparisons compile to decomposition gadgets: only the compile-time
-  // static path (and the difference-is-constant == shortcut) survive
-  // symbolically.
-  SBool Less(const SVal& a, const SVal& b) {
-    std::optional<int64_t> av, bv;
-    if (a.IsInt() && b.IsInt()) {
-      av = a.AsInt().sv;
-      bv = b.AsInt().sv;
-    } else {
-      SRat ra = ToRat(a), rb = ToRat(b);
-      SInt l = IntMul(SInt{ra.num, ra.num_sv}, SInt{rb.den, rb.den_sv});
-      SInt r = IntMul(SInt{rb.num, rb.num_sv}, SInt{ra.den, ra.den_sv});
-      av = l.sv;
-      bv = r.sv;
-    }
-    if (av.has_value() && bv.has_value()) {
-      bool v = *av < *bv;
-      return SBool{v ? SymPoly<F>::Constant(F::One()) : SymPoly<F>(), v};
-    }
-    return OpaqueBool();
-  }
-
-  SBool Eq(const SVal& a, const SVal& b) {
-    if (a.IsBool() && b.IsBool()) {
-      const SBool& x = a.AsBool();
-      const SBool& y = b.AsBool();
-      SBool r;
-      // 1 - a - b + 2ab
-      r.poly = SymPoly<F>::Constant(F::One()) - x.poly - y.poly +
-               x.poly * y.poly * F::FromInt(2);
-      if (x.sv.has_value() && y.sv.has_value()) {
-        r.sv = *x.sv == *y.sv;
-      }
-      return r;
-    }
-    SymPoly<F> diff;
-    std::optional<bool> sv;
-    if (a.IsInt() && b.IsInt()) {
-      diff = a.AsInt().poly - b.AsInt().poly;
-      if (a.AsInt().sv.has_value() && b.AsInt().sv.has_value()) {
-        sv = *a.AsInt().sv == *b.AsInt().sv;
-      }
-    } else {
-      SRat ra = ToRat(a), rb = ToRat(b);
-      SInt l = IntMul(SInt{ra.num, ra.num_sv}, SInt{rb.den, rb.den_sv});
-      SInt r = IntMul(SInt{rb.num, rb.num_sv}, SInt{ra.den, ra.den_sv});
-      diff = l.poly - r.poly;
-      if (l.sv.has_value() && r.sv.has_value()) {
-        sv = *l.sv == *r.sv;
-      }
-    }
-    // Mirror the compiler's LC-constant shortcut: when the difference is a
-    // compile-time constant the result is static (e.g. `x == x`).
-    if (diff.valid() && diff.IsConstant()) {
-      bool v = diff.IsZero();
-      return SBool{v ? SymPoly<F>::Constant(F::One()) : SymPoly<F>(), v};
-    }
-    if (sv.has_value()) {
-      return SBool{*sv ? SymPoly<F>::Constant(F::One()) : SymPoly<F>(), sv};
-    }
-    return OpaqueBool();
-  }
-
-  SVal MuxVal(const SBool& c, const SVal& a, const SVal& b) {
-    if (c.sv.has_value()) {
-      return *c.sv ? a : b;
-    }
-    if (a.IsArr() || b.IsArr()) {
-      const SArr& aa = a.AsArr();
-      const SArr& bb = b.AsArr();
-      SArr out;
-      out.dims = aa.dims;
-      out.elems.reserve(aa.elems.size());
-      for (size_t i = 0; i < aa.elems.size(); i++) {
-        out.elems.push_back(MuxVal(c, aa.elems[i], bb.elems[i]));
-      }
-      return SVal(std::move(out));
-    }
-    // mux(c, a, b) = b + c·(a - b); degrades to Invalid when the condition
-    // has no polynomial form and the arms differ.
-    auto mux_poly = [&](const SymPoly<F>& pa, const SymPoly<F>& pb) {
-      if (pa.valid() && pb.valid() && pa == pb) {
-        return pa;  // same either way: condition form irrelevant
-      }
-      return pb + c.poly * (pa - pb);
-    };
-    if (a.IsBool() && b.IsBool()) {
-      return SVal(SBool{mux_poly(a.AsBool().poly, b.AsBool().poly),
-                        std::nullopt});
-    }
-    if (a.IsInt() && b.IsInt()) {
-      return SVal(
-          SInt{mux_poly(a.AsInt().poly, b.AsInt().poly), std::nullopt});
-    }
-    SRat ra = ToRat(a), rb = ToRat(b);
-    return SVal(SRat{mux_poly(ra.num, rb.num), mux_poly(ra.den, rb.den),
-                     std::nullopt, std::nullopt});
-  }
-
-  SVal EvalBinary(const Expr& e) {
-    SVal a = Eval(*e.children[0]);
-    SVal b = Eval(*e.children[1]);
-    switch (e.op) {
-      case TokenKind::kPlus:
-      case TokenKind::kMinus: {
-        bool sub = e.op == TokenKind::kMinus;
-        if (a.IsInt() && b.IsInt()) {
-          return SVal(IntAdd(a.AsInt(), b.AsInt(), sub));
-        }
-        SRat ra = ToRat(a), rb = ToRat(b);
-        SInt n1d2 = IntMul(SInt{ra.num, ra.num_sv}, SInt{rb.den, rb.den_sv});
-        SInt n2d1 = IntMul(SInt{rb.num, rb.num_sv}, SInt{ra.den, ra.den_sv});
-        SInt num = IntAdd(n1d2, n2d1, sub);
-        SInt den = IntMul(SInt{ra.den, ra.den_sv}, SInt{rb.den, rb.den_sv});
-        return SVal(SRat{num.poly, den.poly, num.sv, den.sv});
-      }
-      case TokenKind::kStar: {
-        if (a.IsInt() && b.IsInt()) {
-          return SVal(IntMul(a.AsInt(), b.AsInt()));
-        }
-        SRat ra = ToRat(a), rb = ToRat(b);
-        SInt num = IntMul(SInt{ra.num, ra.num_sv}, SInt{rb.num, rb.num_sv});
-        SInt den = IntMul(SInt{ra.den, ra.den_sv}, SInt{rb.den, rb.den_sv});
-        return SVal(SRat{num.poly, den.poly, num.sv, den.sv});
-      }
-      case TokenKind::kSlash: {
-        if (a.IsInt() && b.IsInt() && a.AsInt().sv.has_value() &&
-            b.AsInt().sv.has_value()) {
-          if (*b.AsInt().sv == 0) {
-            throw Unsupported();
-          }
-          return SVal(StaticInt(*a.AsInt().sv / *b.AsInt().sv));
-        }
-        SRat r = ToRat(a);
-        const SInt& k = b.AsInt();
-        SInt den = IntMul(SInt{r.den, r.den_sv}, k);
-        return SVal(SRat{r.num, den.poly, r.num_sv, den.sv});
-      }
-      case TokenKind::kPercent: {
-        if (!a.AsInt().sv.has_value() || !b.AsInt().sv.has_value()) {
-          throw Unsupported();
-        }
-        return SVal(StaticInt(*a.AsInt().sv % *b.AsInt().sv));
-      }
-      case TokenKind::kLess:
-        return SVal(Less(a, b));
-      case TokenKind::kGreater:
-        return SVal(Less(b, a));
-      case TokenKind::kLessEq:
-        return SVal(NotBool(Less(b, a)));
-      case TokenKind::kGreaterEq:
-        return SVal(NotBool(Less(a, b)));
-      case TokenKind::kEqEq:
-        return SVal(Eq(a, b));
-      case TokenKind::kNotEq:
-        return SVal(NotBool(Eq(a, b)));
-      case TokenKind::kAndAnd: {
-        const SBool& x = a.AsBool();
-        const SBool& y = b.AsBool();
-        if (x.sv.has_value()) {
-          return *x.sv ? SVal(y) : SVal(SBool{SymPoly<F>(), false});
-        }
-        if (y.sv.has_value()) {
-          return *y.sv ? SVal(x) : SVal(SBool{SymPoly<F>(), false});
-        }
-        return SVal(SBool{x.poly * y.poly, std::nullopt});
-      }
-      case TokenKind::kOrOr: {
-        const SBool& x = a.AsBool();
-        const SBool& y = b.AsBool();
-        if (x.sv.has_value()) {
-          return *x.sv ? SVal(SBool{SymPoly<F>::Constant(F::One()), true})
-                       : SVal(y);
-        }
-        if (y.sv.has_value()) {
-          return *y.sv ? SVal(SBool{SymPoly<F>::Constant(F::One()), true})
-                       : SVal(x);
-        }
-        return SVal(SBool{x.poly + y.poly - x.poly * y.poly, std::nullopt});
-      }
-      case TokenKind::kAmp:
-      case TokenKind::kPipe:
-      case TokenKind::kCaret: {
-        const SInt& x = a.AsInt();
-        const SInt& y = b.AsInt();
-        if (x.sv.has_value() && y.sv.has_value() && *x.sv >= 0 &&
-            *y.sv >= 0) {
-          int64_t r = e.op == TokenKind::kAmp    ? (*x.sv & *y.sv)
-                      : e.op == TokenKind::kPipe ? (*x.sv | *y.sv)
-                                                 : (*x.sv ^ *y.sv);
-          return SVal(StaticInt(r));
-        }
-        guarded_ = true;  // decomposition gadgets reject negatives
-        return SVal(OpaqueInt());
-      }
-      case TokenKind::kShl:
-      case TokenKind::kShr: {
-        const SInt& x = a.AsInt();
-        if (!b.AsInt().sv.has_value()) {
-          throw Unsupported();
-        }
-        size_t k = static_cast<size_t>(*b.AsInt().sv);
-        if (e.op == TokenKind::kShl) {
-          if (k >= 62) {
-            throw Unsupported();
-          }
-          return SVal(IntMul(x, StaticInt(int64_t{1} << k)));
-        }
-        if (x.sv.has_value()) {
-          int64_t v = *x.sv >> (k >= 63 ? 63 : k);
-          return SVal(StaticInt(v));
-        }
-        return SVal(OpaqueInt());  // dynamic >> runs a bit decomposition
-      }
-      default:
-        throw Unsupported();
-    }
-  }
-
-  static SBool NotBool(const SBool& x) {
-    SBool r;
-    r.poly = SymPoly<F>::Constant(F::One()) - x.poly;
-    if (x.sv.has_value()) {
-      r.sv = !*x.sv;
-    }
-    return r;
-  }
-
-  void CollectScalars(const SVal& v, const TypeNode& type,
-                      std::vector<SymPoly<F>>* out) {
-    if (v.IsArr()) {
-      for (const auto& elem : v.AsArr().elems) {
-        CollectScalars(elem, type, out);
-      }
-      return;
-    }
-    switch (type.kind) {
-      case TypeNode::Kind::kInt:
-        out->push_back(v.AsInt().poly);
-        break;
-      case TypeNode::Kind::kBool:
-        out->push_back(v.AsBool().poly);
-        break;
-      case TypeNode::Kind::kRational: {
-        SRat r = ToRat(v);
-        out->push_back(r.num);
-        out->push_back(r.den);
-        break;
-      }
-    }
-  }
-
-  std::map<std::string, SVal> env_;
-  std::map<std::string, TypeNode> decl_types_;
-  std::map<std::string, const FunctionDecl*> functions_;
-  std::vector<std::pair<std::string, TypeNode>> outputs_;
-  std::vector<std::set<std::string>> write_logs_;
-  std::optional<SVal> return_value_;
-  size_t call_depth_ = 0;
-  uint32_t next_symbol_ = 0;
-  bool guarded_ = false;
-  const std::vector<F>* point_ = nullptr;  // set in RunAt mode
 };
 
 }  // namespace zaatar

@@ -8,7 +8,7 @@
 // ~2 bits per iteration and needs the 220-bit field (exactly the paper's
 // field-size split). Floyd-Warshall uses rational weights with fixed-point
 // (2^-16) rounding on assignment — zlang's realization of Ginger's primitive
-// floating-point (see src/compiler/evaluator.h).
+// floating-point (see FixRational in src/compiler/walker.h).
 
 #ifndef SRC_APPS_PROGRAMS_H_
 #define SRC_APPS_PROGRAMS_H_

@@ -103,8 +103,7 @@ CompiledProgram<F> CompileZlang(const std::string& source,
   CompiledProgram<F> p;
   {
     obs::Span lower("compiler.lower");
-    Evaluator<F> evaluator(ast);
-    EvaluationResult<F> result = evaluator.Run();
+    EvaluationResult<F> result = LowerToConstraints<F>(ast);
     p.name = ast.name;
     p.ginger = std::move(result.system);
     p.solver = std::move(result.solver);

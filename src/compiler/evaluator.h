@@ -1,35 +1,33 @@
-// The evaluator: symbolic execution of a zlang AST into constraints.
-//
-// Control flow is resolved at compile time wherever possible — loops have
-// static bounds and are unrolled; `if` over a static condition compiles one
-// arm. Runtime conditions compile both arms and merge every written variable
+// Lowering of zlang to constraints: the R1CS value domain of the AST walker
+// (src/compiler/walker.h). The walker resolves control flow at compile time
+// wherever possible — loops unroll; `if` over a static condition compiles
+// one arm — and this domain says what every remaining scalar operation costs.
+// Runtime conditions compile both arms and merge every written variable
 // with a mux (b + c·(a-b)), which is free for values the branches agree on.
-// Array accesses with static indices are direct; runtime indices expand to
-// equality-selector chains (one IsZero per slot) — the "excessive number of
-// constraints" for indirect memory access that §5.4 discusses.
+// Runtime array indices expand to equality-selector chains (one IsZero per
+// slot) — the "excessive number of constraints" for indirect memory access
+// that §5.4 discusses.
+//
+// Integers are linear combinations with a tracked magnitude bound,
+// |v| < 2^width. Widths grow through arithmetic (add: ~+1 bit, mul: sum)
+// and gate the comparison gadgets; exceeding the field capacity is a
+// compile error (the paper's compiler has the same bounded-width model).
 
 #ifndef SRC_COMPILER_EVALUATOR_H_
 #define SRC_COMPILER_EVALUATOR_H_
 
-#include <map>
-#include <set>
+#include <algorithm>
+#include <cmath>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "src/compiler/ast.h"
 #include "src/compiler/builder.h"
-#include "src/compiler/values.h"
+#include "src/compiler/walker.h"
 
 namespace zaatar {
-
-// Where an input/output field element comes from, for runtime encoding.
-struct IoSlotSpec {
-  enum class Kind { kInt, kBool, kRatNum, kRatDen };
-  std::string name;
-  Kind kind = Kind::kInt;
-  size_t width = 32;
-};
 
 template <typename F>
 struct EvaluationResult {
@@ -40,35 +38,75 @@ struct EvaluationResult {
 };
 
 template <typename F>
-class Evaluator {
+class R1csDomain {
  public:
   using LC = LinearCombination<F>;
-  using IV = IntVal<F>;
-  using BV = BoolVal<F>;
-  using RV = RatVal<F>;
-  using AV = ArrayVal<F>;
-  using V = Value<F>;
+  struct Int {
+    LC lc;
+    // Magnitude bound: |value| < 2^width. A real number, so long
+    // accumulation chains grow by log2(#terms), not one bit per addition.
+    double width = 1;
+  };
+  using Bool = LC;  // guaranteed 0 or 1
+  using Out = LC;
 
   // Comparisons need width+1 decomposition plus shift headroom.
   static constexpr double kMaxWidth = static_cast<double>(F::kModulusBits - 4);
 
-  explicit Evaluator(const ProgramAst& ast) : ast_(&ast) {}
+  static Int Const(int64_t v) {
+    uint64_t mag = v >= 0 ? static_cast<uint64_t>(v)
+                          : static_cast<uint64_t>(-(v + 1)) + 1;
+    size_t bits = 1;
+    while ((uint64_t{1} << bits) <= mag && bits < 63) {
+      bits++;
+    }
+    return Int{LC(F::FromInt(v)), static_cast<double>(bits)};
+  }
+  static Bool BoolConst(bool v) { return LC(v ? F::One() : F::Zero()); }
+  static Out IntOut(const Int& v) { return v.lc; }
+  static Out BoolOut(const Bool& v) { return v; }
 
-  EvaluationResult<F> Run() {
-    for (const auto& f : ast_->functions) {
-      if (functions_.count(f.name) != 0) {
-        throw CompileError("redefinition of function '" + f.name + "'",
-                           f.line, f.column);
+  void SetSourceLine(size_t line) { builder_.SetSourceLine(line); }
+
+  // Checks declared widths; inputs get IO slots, outputs get their
+  // variables now (fixing output ordering) and are bound in Finish.
+  void Declared(const Declaration& d, const TypeNode& type) {
+    if (type.width > kMaxWidth || type.den_width > kMaxWidth) {
+      throw CompileError("declared width exceeds field capacity", d.line,
+                         d.column);
+    }
+    if (d.kind == Declaration::Kind::kInput) {
+      AppendIoSlots(d.name, type, &input_slots_);
+    } else if (d.kind == Declaration::Kind::kOutput) {
+      OutputBinding binding{&d, {}};
+      size_t scalars = type.ElementCount() *
+                       (type.kind == TypeNode::Kind::kRational ? 2 : 1);
+      for (size_t i = 0; i < scalars; i++) {
+        binding.vars.push_back(builder_.NewOutput());
       }
-      functions_.emplace(f.name, &f);
+      AppendIoSlots(d.name, type, &output_slots_);
+      output_bindings_.push_back(std::move(binding));
     }
-    for (const auto& d : ast_->decls) {
-      Declare(d);
+  }
+
+  Int InputInt(size_t width) {
+    return Int{LC::Variable(builder_.NewInput()), static_cast<double>(width)};
+  }
+  Bool InputBool() { return LC::Variable(builder_.NewInput()); }
+
+  // Binds the walker's output scalars and finalizes variable numbering.
+  EvaluationResult<F> Finish(const std::vector<std::vector<LC>>& outputs) {
+    for (size_t k = 0; k < output_bindings_.size(); k++) {
+      const OutputBinding& binding = output_bindings_[k];
+      if (outputs[k].size() != binding.vars.size()) {
+        throw CompileError(
+            "output '" + binding.decl->name + "' shape mismatch",
+            binding.decl->line, binding.decl->column);
+      }
+      for (size_t i = 0; i < outputs[k].size(); i++) {
+        builder_.BindOutput(binding.vars[i], outputs[k][i]);
+      }
     }
-    for (const auto& s : ast_->body) {
-      Exec(*s);
-    }
-    BindOutputs();
     auto fin = builder_.Finalize();
     EvaluationResult<F> r;
     r.system = std::move(fin.system);
@@ -78,117 +116,254 @@ class Evaluator {
     return r;
   }
 
+  // ----- integer ops -----
+
+  Int Add(const Int& a, const Int& b, bool subtract, size_t line) {
+    Int r;
+    r.lc = subtract ? a.lc + b.lc * (-F::One()) : a.lc + b.lc;
+    r.lc.Compact();
+    r.width = AddWidth(a.width, b.width);
+    CheckWidth(r.width, line);
+    return r;
+  }
+
+  Int Mul(const Int& a, const Int& b, size_t line) {
+    Int r;
+    r.width = a.width + b.width;
+    CheckWidth(r.width, line);
+    r.lc = builder_.Product(a.lc, b.lc);
+    return r;
+  }
+
+  Int Neg(const Int& a) { return Int{a.lc * (-F::One()), a.width}; }
+
+  // a < b via shifted bit decomposition (O(width) constraints).
+  Bool Less(const Int& a, const Int& b, size_t line) {
+    size_t w = static_cast<size_t>(std::ceil(AddWidth(a.width, b.width)));
+    CheckWidth(static_cast<double>(w + 1), line);
+    // d = a - b + 2^w is in (0, 2^{w+1}); a < b iff d < 2^w iff bit w clear.
+    LC d = a.lc + b.lc * (-F::One());
+    d.AddConstant(PowerOfTwo(w));
+    d.Compact();
+    std::vector<LC> bits = builder_.Decompose(d, w + 1);
+    LC r = LC(F::One()) + bits[w] * (-F::One());
+    r.Compact();
+    return r;
+  }
+
+  // IsZero is width-free. A difference that cancels to a constant needs no
+  // gadget: the answer is known at compile time.
+  Bool Eq(const Int& a, const Int& b, std::optional<bool>* decided) {
+    LC d = a.lc + b.lc * (-F::One());
+    d.Compact();
+    if (d.IsConstant()) {
+      *decided = d.constant().IsZero();
+      return LC();
+    }
+    return builder_.IsZero(d);
+  }
+
+  // Bitwise ops on nonnegative integers via bit decomposition. AND pays one
+  // product per bit; OR and XOR derive from it arithmetically:
+  //   a|b = a + b - (a&b),   a^b = a + b - 2(a&b).
+  Int Bitwise(TokenKind op, const Int& a, const Int& b, size_t line) {
+    size_t w = static_cast<size_t>(std::ceil(std::max(a.width, b.width)));
+    CheckWidth(static_cast<double>(w), line);
+    std::vector<LC> abits = builder_.Decompose(a.lc, w);
+    std::vector<LC> bbits = builder_.Decompose(b.lc, w);
+    LC and_acc;
+    F pow = F::One();
+    for (size_t i = 0; i < w; i++) {
+      and_acc = and_acc + builder_.Product(abits[i], bbits[i]) * pow;
+      pow = pow.Double();
+    }
+    and_acc.Compact();
+    Int r;
+    r.width = static_cast<double>(w);
+    switch (op) {
+      case TokenKind::kAmp:
+        r.lc = and_acc;
+        break;
+      case TokenKind::kPipe:
+        r.lc = a.lc + b.lc + and_acc * (-F::One());
+        break;
+      default:  // kCaret
+        r.lc = a.lc + b.lc + and_acc * (-F::FromUint(2));
+        break;
+    }
+    r.lc.Compact();
+    return r;
+  }
+
+  Int Shl(const Int& a, size_t k, size_t line) {
+    Int r{a.lc * PowerOfTwo(k), a.width + static_cast<double>(k)};
+    CheckWidth(r.width, line);
+    return r;
+  }
+
+  // Arithmetic (floor) right shift, valid for negative values too.
+  Int Shr(const Int& a, size_t k, size_t line) {
+    size_t kbits = static_cast<size_t>(std::ceil(a.width));
+    if (k >= kbits) {
+      // Result is 0 for nonnegative, -1 for negative: floor(a / 2^k).
+      kbits = k;  // decompose wide enough to capture the sign
+    }
+    CheckWidth(static_cast<double>(kbits + 1), line);
+    LC shifted = a.lc;
+    shifted.AddConstant(PowerOfTwo(kbits));
+    return Int{HighBits(shifted, kbits, k),
+               std::max(1.0, a.width - static_cast<double>(k))};
+  }
+
+  // Runtime integer division: a = q·b + r with 0 <= r < b; requires b > 0
+  // at runtime (the witness solver enforces it).
+  std::pair<Int, Int> DivMod(const Int& a, const Int& b, size_t line) {
+    auto [quot, rem] = builder_.DivFloor(a.lc, b.lc);
+    size_t wb = static_cast<size_t>(std::ceil(b.width));
+    CheckWidth(static_cast<double>(wb), line);
+    Int r = BoundedRemainder(rem, b, line);
+    size_t wq = static_cast<size_t>(std::ceil(a.width));
+    CheckWidth(static_cast<double>(wq + 1), line);
+    LC shifted = quot;
+    shifted.AddConstant(PowerOfTwo(wq));
+    builder_.Decompose(shifted, wq + 1);
+    return {Int{quot, static_cast<double>(wq)}, r};
+  }
+
+  // Integer square root: s with s^2 <= x < (s+1)^2; requires x >= 0.
+  Int Sqrt(const Int& x, size_t line) {
+    size_t w = static_cast<size_t>(std::ceil(x.width));
+    CheckWidth(static_cast<double>(w + 2), line);
+    LC s = builder_.SqrtWitness(x.lc);
+    LC s_sq = builder_.Product(s, s);
+    // x - s^2 in [0, 2^w).
+    LC low = x.lc + s_sq * (-F::One());
+    low.Compact();
+    builder_.Decompose(low, w);
+    // (s+1)^2 - x - 1 = s^2 + 2s - x >= 0.
+    LC high = s_sq + s + s + x.lc * (-F::One());
+    high.Compact();
+    builder_.Decompose(high, w);
+    return Int{s, static_cast<double>(w / 2 + 1)};
+  }
+
+  // ----- bool ops -----
+
+  Bool BoolEq(const Bool& x, const Bool& y) {  // 1 - x - y + 2xy
+    LC prod = builder_.Product(x, y);
+    LC r = LC(F::One()) + x * (-F::One()) + y * (-F::One()) + prod + prod;
+    r.Compact();
+    return r;
+  }
+
+  Bool Not(const Bool& a) {
+    LC r = LC(F::One()) + a * (-F::One());
+    r.Compact();
+    return r;
+  }
+
+  Bool And(const Bool& a, const Bool& b) { return builder_.Product(a, b); }
+
+  Bool Or(const Bool& a, const Bool& b) {
+    LC prod = builder_.Product(a, b);
+    LC r = a + b + prod * (-F::One());
+    r.Compact();
+    return r;
+  }
+
+  // A verifier-enforced predicate: one linear constraint on the boolean
+  // wire. A false one makes the constraints unsatisfiable, so no valid
+  // proof exists for the offending input.
+  void Assert(const Bool& c, size_t /*line*/) {
+    builder_.AssertEqual(c, LC(F::One()));
+  }
+
+  // ----- muxes and runtime selection -----
+
+  Int MuxInt(const Bool& c, const Int& a, const Int& b) {
+    return Int{MuxLc(c, a.lc, b.lc), std::max(a.width, b.width)};
+  }
+  Bool MuxBool(const Bool& c, const Bool& a, const Bool& b) {
+    return MuxLc(c, a, b);
+  }
+
+  // result = sum_i sel_i · elem_i.
+  Int SelectInt(const std::vector<Bool>& sels,
+                const std::vector<const Int*>& elems) {
+    Int r{LC(), 1};
+    for (size_t i = 0; i < elems.size(); i++) {
+      r.lc = r.lc + builder_.Product(sels[i], elems[i]->lc);
+      r.width = std::max(r.width, elems[i]->width);
+    }
+    r.lc.Compact();
+    return r;
+  }
+
+  Bool SelectBool(const std::vector<Bool>& sels,
+                  const std::vector<const Bool*>& elems) {
+    LC acc;
+    for (size_t i = 0; i < elems.size(); i++) {
+      acc = acc + builder_.Product(sels[i], *elems[i]);
+    }
+    acc.Compact();
+    return acc;
+  }
+
+  std::pair<Int, Int> SelectRat(const std::vector<Bool>& sels,
+                                const std::vector<const Int*>& nums,
+                                const std::vector<const Int*>& dens) {
+    Int num{LC(), 1}, den{LC(), 1};
+    for (size_t i = 0; i < nums.size(); i++) {
+      num.lc = num.lc + builder_.Product(sels[i], nums[i]->lc);
+      den.lc = den.lc + builder_.Product(sels[i], dens[i]->lc);
+      num.width = std::max(num.width, nums[i]->width);
+      den.width = std::max(den.width, dens[i]->width);
+    }
+    num.lc.Compact();
+    den.lc.Compact();
+    return {num, den};
+  }
+
+  // ----- fixed-point rounding (see AstWalker::FixRational) -----
+
+  // Exact rescale n' = n · 2^k: no constraints.
+  Int FixScale(const Int& num, size_t k, size_t w, size_t line) {
+    Int r{num.lc * PowerOfTwo(k), num.width + static_cast<double>(k)};
+    if (r.width > static_cast<double>(w)) {
+      throw CompileError("fixed-point value exceeds declared width", line, 0);
+    }
+    return r;
+  }
+
+  // n' = floor(n / 2^s) via bit decomposition (no division needed).
+  Int FixShiftDown(const Int& num, size_t s, size_t line) {
+    size_t kbits = static_cast<size_t>(std::ceil(num.width));
+    CheckWidth(static_cast<double>(kbits + 1), line);
+    LC shifted = num.lc;
+    shifted.AddConstant(PowerOfTwo(kbits));
+    shifted.Compact();
+    return Int{HighBits(shifted, kbits, s),
+               std::max(1.0, num.width - static_cast<double>(s))};
+  }
+
+  // Dynamic denominator: n2 = n·2^q; n' = floor(n2 / d) with
+  // n2 = n'·d + r, 0 <= r < d, and n' in [-2^w, 2^w).
+  Int FixDivide(const Int& num, const Int& den, size_t q, size_t w,
+                size_t line) {
+    LC n2 = num.lc * PowerOfTwo(q);
+    auto [quot, rem] = builder_.DivFloor(n2, den.lc);
+    BoundedRemainder(rem, den, line);
+    LC shifted_q = quot;
+    shifted_q.AddConstant(PowerOfTwo(w));
+    builder_.Decompose(shifted_q, w + 1);
+    return Int{quot, static_cast<double>(w)};
+  }
+
  private:
-  // ----- declarations -----
-
-  void Declare(const Declaration& d) {
-    if (env_.count(d.name) != 0) {
-      throw CompileError("redeclaration of '" + d.name + "'", d.line,
-                         d.column);
-    }
-    if (d.kind == Declaration::Kind::kConstant) {
-      V v = Eval(*d.init);
-      if (!v.IsInt() || !v.AsInt().IsStatic()) {
-        throw CompileError("'const' requires a compile-time integer", d.line,
-                           d.column);
-      }
-      env_.emplace(d.name, std::move(v));
-      return;
-    }
-
-    TypeNode type = d.type;
-    if (d.width_expr != nullptr) {
-      type.width = static_cast<size_t>(EvalStaticInt(*d.width_expr));
-    }
-    if (d.den_width_expr != nullptr) {
-      type.den_width = static_cast<size_t>(EvalStaticInt(*d.den_width_expr));
-    }
-    for (const auto& e : d.dim_exprs) {
-      int64_t dim = EvalStaticInt(*e);
-      if (dim <= 0) {
-        throw CompileError("array dimension must be positive", d.line,
-                           d.column);
-      }
-      type.dims.push_back(static_cast<size_t>(dim));
-    }
-    if (type.width > kMaxWidth || type.den_width > kMaxWidth) {
-      throw CompileError("declared width exceeds field capacity", d.line,
-                         d.column);
-    }
-
-    switch (d.kind) {
-      case Declaration::Kind::kInput:
-        env_.emplace(d.name, MakeIoValue(d.name, type));
-        decl_types_.emplace(d.name, type);
-        break;
-      case Declaration::Kind::kOutput: {
-        // Allocate output variable slots now (fixing output ordering), bind
-        // values after the body runs.
-        OutputBinding binding;
-        binding.decl = &d;
-        binding.type = type;
-        size_t scalars = type.ElementCount() *
-                         (type.kind == TypeNode::Kind::kRational ? 2 : 1);
-        for (size_t i = 0; i < scalars; i++) {
-          binding.vars.push_back(builder_.NewOutput());
-        }
-        AppendIoSlots(d.name, type, &output_slots_);
-        output_bindings_.push_back(std::move(binding));
-        env_.emplace(d.name, DefaultValue(type));
-        decl_types_.emplace(d.name, type);
-        break;
-      }
-      case Declaration::Kind::kLocal: {
-        V init = d.init != nullptr ? Coerce(Eval(*d.init), type, d.line)
-                                   : DefaultValue(type);
-        env_.emplace(d.name, std::move(init));
-        decl_types_.emplace(d.name, type);
-        break;
-      }
-      case Declaration::Kind::kConstant:
-        break;  // handled above
-    }
-  }
-
-  V MakeIoValue(const std::string& name, const TypeNode& type) {
-    AppendIoSlots(name, type, &input_slots_);
-    if (!type.IsArray()) {
-      return MakeScalarInput(type);
-    }
-    AV arr;
-    arr.dims = type.dims;
-    size_t count = type.ElementCount();
-    arr.elems.reserve(count);
-    for (size_t i = 0; i < count; i++) {
-      arr.elems.push_back(MakeScalarInput(type));
-    }
-    return V(std::move(arr));
-  }
-
-  V MakeScalarInput(const TypeNode& type) {
-    switch (type.kind) {
-      case TypeNode::Kind::kInt: {
-        IV v;
-        v.lc = LC::Variable(builder_.NewInput());
-        v.width = type.width;
-        return V(v);
-      }
-      case TypeNode::Kind::kBool: {
-        BV v;
-        v.lc = LC::Variable(builder_.NewInput());
-        return V(v);
-      }
-      case TypeNode::Kind::kRational: {
-        RV v;
-        v.num.lc = LC::Variable(builder_.NewInput());
-        v.num.width = type.width;
-        v.den.lc = LC::Variable(builder_.NewInput());
-        v.den.width = type.den_width;
-        return V(v);
-      }
-    }
-    return V();
-  }
+  struct OutputBinding {
+    const Declaration* decl = nullptr;
+    std::vector<uint32_t> vars;
+  };
 
   void AppendIoSlots(const std::string& name, const TypeNode& type,
                      std::vector<IoSlotSpec>* slots) {
@@ -213,550 +388,6 @@ class Evaluator {
     }
   }
 
-  V DefaultValue(const TypeNode& type) {
-    V scalar;
-    switch (type.kind) {
-      case TypeNode::Kind::kInt: scalar = V(IV::Constant(0)); break;
-      case TypeNode::Kind::kBool: scalar = V(BV::Constant(false)); break;
-      case TypeNode::Kind::kRational:
-        scalar = V(RV::FromInt(IV::Constant(0)));
-        break;
-    }
-    if (!type.IsArray()) {
-      return scalar;
-    }
-    AV arr;
-    arr.dims = type.dims;
-    arr.elems.assign(type.ElementCount(), scalar);
-    return V(std::move(arr));
-  }
-
-  // Type adaptation on assignment/initialization: ints promote to rationals;
-  // everything else must match kinds. Declared widths bound *inputs*;
-  // computed values keep their tracked widths.
-  V Coerce(V v, const TypeNode& type, size_t line) {
-    if (type.kind == TypeNode::Kind::kRational && v.IsInt()) {
-      return V(RV::FromInt(v.AsInt()));
-    }
-    bool ok = (type.kind == TypeNode::Kind::kInt && v.IsInt()) ||
-              (type.kind == TypeNode::Kind::kBool && v.IsBool()) ||
-              (type.kind == TypeNode::Kind::kRational && v.IsRational()) ||
-              v.IsArray();
-    if (!ok) {
-      throw CompileError("type mismatch in assignment", line, 0);
-    }
-    return v;
-  }
-
-  // ----- statements -----
-
-  void Exec(const Stmt& s) {
-    builder_.SetSourceLine(s.line);
-    switch (s.kind) {
-      case Stmt::Kind::kBlock:
-        for (const auto& child : s.body) {
-          Exec(*child);
-        }
-        break;
-      case Stmt::Kind::kAssign:
-        ExecAssign(s);
-        break;
-      case Stmt::Kind::kIf:
-        ExecIf(s);
-        break;
-      case Stmt::Kind::kFor:
-        ExecFor(s);
-        break;
-      case Stmt::Kind::kAssert:
-        ExecAssert(s);
-        break;
-      case Stmt::Kind::kVarDecl:
-        // Statement-level `var`: redeclaration re-initializes (the same
-        // statement executes repeatedly in unrolled loops and inlined
-        // functions).
-        env_.erase(s.decl->name);
-        decl_types_.erase(s.decl->name);
-        Declare(*s.decl);
-        RecordWrite(s.decl->name);
-        break;
-      case Stmt::Kind::kReturn:
-        if (call_depth_ == 0) {
-          throw CompileError("'return' outside a function", s.line, s.column);
-        }
-        return_value_ = Eval(*s.value);
-        break;
-    }
-  }
-
-  // assert cond; — a verifier-enforced predicate: one linear constraint on
-  // the boolean wire. A statically false assertion is a compile error; a
-  // dynamically false one makes the constraints unsatisfiable, so no valid
-  // proof exists for the offending input.
-  void ExecAssert(const Stmt& s) {
-    V cond = Eval(*s.value);
-    if (!cond.IsBool()) {
-      throw CompileError("assert requires a bool expression", s.line,
-                         s.column);
-    }
-    const BV& c = cond.AsBool();
-    if (c.IsStatic()) {
-      if (!*c.static_value) {
-        throw CompileError("assertion is statically false", s.line, s.column);
-      }
-      return;
-    }
-    builder_.AssertEqual(c.lc, LC(F::One()));
-  }
-
-  void ExecAssign(const Stmt& s) {
-    if (env_.find(s.name) == env_.end()) {
-      throw CompileError("assignment to undeclared '" + s.name + "'", s.line,
-                         s.column);
-    }
-    RecordWrite(s.name);
-    V rhs = Eval(*s.value);
-    rhs = CoerceAssign(s.name, std::move(rhs), s.line);
-    // Re-find: evaluating the RHS may have swapped env_ wholesale (inlined
-    // function calls save/restore the environment).
-    auto it = env_.find(s.name);
-    if (it == env_.end()) {
-      throw CompileError("assignment target vanished (internal)", s.line,
-                         s.column);
-    }
-    if (s.indices.empty()) {
-      it->second = std::move(rhs);
-      return;
-    }
-    // Array element write.
-    if (!it->second.IsArray()) {
-      throw CompileError("'" + s.name + "' is not an array", s.line,
-                         s.column);
-    }
-    AV& arr = it->second.AsArray();
-    if (s.indices.size() != arr.dims.size()) {
-      throw CompileError("wrong number of indices", s.line, s.column);
-    }
-    IV index = LinearIndex(arr, s);
-    if (index.IsStatic()) {
-      size_t off = CheckedOffset(index, arr, s);
-      arr.elems[off] = std::move(rhs);
-      return;
-    }
-    // Runtime index: mux every slot on an equality selector.
-    for (size_t i = 0; i < arr.elems.size(); i++) {
-      BV sel = IntEq(index, IV::Constant(static_cast<int64_t>(i)));
-      arr.elems[i] = Mux(sel, rhs, arr.elems[i], s.line);
-    }
-  }
-
-  void ExecIf(const Stmt& s) {
-    V cond = Eval(*s.value);
-    if (!cond.IsBool()) {
-      throw CompileError("if condition must be bool", s.line, s.column);
-    }
-    const BV& c = cond.AsBool();
-    if (c.IsStatic()) {
-      const auto& arm = *c.static_value ? s.body : s.else_body;
-      for (const auto& child : arm) {
-        Exec(*child);
-      }
-      return;
-    }
-    // Runtime condition: run both arms against copies, then merge writes.
-    std::map<std::string, V> before = env_;
-    write_logs_.emplace_back();
-    for (const auto& child : s.body) {
-      Exec(*child);
-    }
-    std::set<std::string> then_writes = std::move(write_logs_.back());
-    write_logs_.pop_back();
-    std::map<std::string, V> then_env = std::move(env_);
-
-    env_ = before;
-    write_logs_.emplace_back();
-    for (const auto& child : s.else_body) {
-      Exec(*child);
-    }
-    std::set<std::string> else_writes = std::move(write_logs_.back());
-    write_logs_.pop_back();
-
-    std::set<std::string> written = then_writes;
-    written.insert(else_writes.begin(), else_writes.end());
-    for (const auto& name : written) {
-      RecordWrite(name);
-      env_[name] = Mux(c, then_env.at(name), env_.at(name), s.line);
-    }
-  }
-
-  void ExecFor(const Stmt& s) {
-    int64_t lo = EvalStaticInt(*s.lo);
-    int64_t hi = EvalStaticInt(*s.hi);
-    bool had_shadow = env_.count(s.name) != 0;
-    V shadow;
-    if (had_shadow) {
-      shadow = env_.at(s.name);
-    }
-    for (int64_t k = lo; k <= hi; k++) {
-      env_[s.name] = V(IV::Constant(k));
-      for (const auto& child : s.body) {
-        Exec(*child);
-      }
-    }
-    if (had_shadow) {
-      env_[s.name] = shadow;
-    } else {
-      env_.erase(s.name);
-    }
-  }
-
-  void RecordWrite(const std::string& name) {
-    for (auto& log : write_logs_) {
-      log.insert(name);
-    }
-  }
-
-  // ----- fixed-point rationals -----
-  //
-  // Assignment to a variable declared rational<W, q> *rounds* the value to
-  // denominator 2^q (floor semantics) and bounds the numerator by 2^W. This
-  // is zlang's realization of Ginger's primitive floating-point: without it,
-  // rational widths compound across loop iterations (e.g. Floyd-Warshall's
-  // m^3 chained relaxations) and exceed any fixed field. Once a value is
-  // fixed-point its denominator is a compile-time constant, so subsequent
-  // +/- and scalar ops cost no constraints beyond the next rounding.
-
-  V CoerceAssign(const std::string& name, V rhs, size_t line) {
-    auto dt = decl_types_.find(name);
-    if (dt == decl_types_.end()) {
-      return rhs;
-    }
-    const TypeNode& type = dt->second;
-    if (type.kind != TypeNode::Kind::kRational) {
-      return rhs;
-    }
-    if (rhs.IsArray()) {  // whole-array assignment: fix element-wise
-      AV arr = rhs.AsArray();
-      for (auto& elem : arr.elems) {
-        RV r = ToRational(elem, line);
-        elem = V(FixRational(r, type.width, type.den_width, line));
-      }
-      return V(std::move(arr));
-    }
-    RV r = ToRational(rhs, line);
-    return V(FixRational(r, type.width, type.den_width, line));
-  }
-
-  static std::optional<size_t> StaticPowerOfTwo(const IV& v) {
-    if (!v.IsStatic() || *v.static_value <= 0) {
-      return std::nullopt;
-    }
-    uint64_t x = static_cast<uint64_t>(*v.static_value);
-    if ((x & (x - 1)) != 0) {
-      return std::nullopt;
-    }
-    return static_cast<size_t>(__builtin_ctzll(x));
-  }
-
-  RV FixRational(const RV& x, size_t w, size_t q, size_t line) {
-    auto e = StaticPowerOfTwo(x.den);
-    RV out;
-    out.den = IV::Constant(int64_t{1} << q);
-    if (e.has_value() && *e <= q) {
-      // Exact rescale: n' = n · 2^(q-e); no constraints.
-      out.num = x.num;
-      out.num.lc = x.num.lc * PowerOfTwo(q - *e);
-      out.num.width = x.num.width + static_cast<double>(q - *e);
-      if (out.num.static_value.has_value()) {
-        out.num.static_value =
-            ClipStatic(static_cast<__int128>(*x.num.static_value)
-                       << (q - *e));
-      }
-      if (out.num.width > static_cast<double>(w)) {
-        throw CompileError("fixed-point value exceeds declared width", line,
-                           0);
-      }
-      return out;
-    }
-    if (e.has_value()) {
-      // Static power-of-two denominator, shift down by s = e - q:
-      // n' = floor(n / 2^s) via bit decomposition (no division needed).
-      size_t s = *e - q;
-      size_t kbits = static_cast<size_t>(std::ceil(x.num.width));
-      CheckWidth(static_cast<double>(kbits + 1), line);
-      LC shifted = x.num.lc;
-      shifted.AddConstant(PowerOfTwo(kbits));
-      shifted.Compact();
-      std::vector<LC> bits = builder_.Decompose(shifted, kbits + 1);
-      LC high;
-      F pw = F::One();
-      for (size_t i = s; i <= kbits; i++) {
-        high = high + bits[i] * pw;
-        pw = pw.Double();
-      }
-      high.AddConstant(-PowerOfTwo(kbits - s));
-      high.Compact();
-      out.num.lc = high;
-      out.num.width = std::max(1.0, x.num.width - static_cast<double>(s));
-      return out;
-    }
-    // Dynamic denominator: full division gadget.
-    // n2 = n·2^q; n' = floor(n2 / d) with n2 = n'·d + r, 0 <= r < d.
-    LC n2 = x.num.lc * PowerOfTwo(q);
-    auto [quot, rem] = builder_.DivFloor(n2, x.den.lc);
-    // r in [0, 2^wd) and r < d.
-    size_t wd = static_cast<size_t>(std::ceil(x.den.width));
-    builder_.Decompose(rem, wd);
-    IV r_iv;
-    r_iv.lc = rem;
-    r_iv.width = static_cast<double>(wd);
-    BV r_less = IntLess(r_iv, x.den, line);
-    builder_.AssertEqual(r_less.lc, LC(F::One()));
-    // n' in [-2^w, 2^w).
-    LC shifted_q = quot;
-    shifted_q.AddConstant(PowerOfTwo(w));
-    builder_.Decompose(shifted_q, w + 1);
-    out.num.lc = quot;
-    out.num.width = static_cast<double>(w);
-    return out;
-  }
-
-  // ----- expressions -----
-
-  V Eval(const Expr& e) {
-    if (e.line != 0) {
-      builder_.SetSourceLine(e.line);
-    }
-    switch (e.kind) {
-      case Expr::Kind::kIntLit:
-        return V(IV::Constant(e.int_value));
-      case Expr::Kind::kBoolLit:
-        return V(BV::Constant(e.int_value != 0));
-      case Expr::Kind::kVarRef: {
-        auto it = env_.find(e.name);
-        if (it == env_.end()) {
-          throw CompileError("undeclared identifier '" + e.name + "'", e.line,
-                             e.column);
-        }
-        return it->second;
-      }
-      case Expr::Kind::kIndex:
-        return EvalIndex(e);
-      case Expr::Kind::kBinary:
-        return EvalBinary(e);
-      case Expr::Kind::kUnary:
-        return EvalUnary(e);
-      case Expr::Kind::kTernary: {
-        V cond = Eval(*e.children[0]);
-        if (!cond.IsBool()) {
-          throw CompileError("ternary condition must be bool", e.line,
-                             e.column);
-        }
-        const BV& c = cond.AsBool();
-        if (c.IsStatic()) {
-          return Eval(*c.static_value ? *e.children[1] : *e.children[2]);
-        }
-        V a = Eval(*e.children[1]);
-        V b = Eval(*e.children[2]);
-        return Mux(c, a, b, e.line);
-      }
-      case Expr::Kind::kCall:
-        return EvalCall(e);
-    }
-    throw CompileError("internal: unknown expression kind", e.line, e.column);
-  }
-
-  int64_t EvalStaticInt(const Expr& e) {
-    V v = Eval(e);
-    if (!v.IsInt() || !v.AsInt().IsStatic()) {
-      throw CompileError("expression must be a compile-time integer", e.line,
-                         e.column);
-    }
-    return *v.AsInt().static_value;
-  }
-
-  V EvalCall(const Expr& e) {
-    auto arg = [&](size_t i) -> V { return Eval(*e.children[i]); };
-    if (e.name == "min" || e.name == "max") {
-      if (e.children.size() != 2) {
-        throw CompileError(e.name + " takes two arguments", e.line, e.column);
-      }
-      V a = arg(0), b = arg(1);
-      BV a_less = Less(a, b, e.line);
-      return e.name == "min" ? Mux(a_less, a, b, e.line)
-                             : Mux(a_less, b, a, e.line);
-    }
-    if (e.name == "abs") {
-      if (e.children.size() != 1) {
-        throw CompileError("abs takes one argument", e.line, e.column);
-      }
-      V a = arg(0);
-      V neg = Negate(a, e.line);
-      BV is_neg = Less(a, V(IV::Constant(0)), e.line);
-      return Mux(is_neg, neg, a, e.line);
-    }
-    if (e.name == "idiv" || e.name == "imod") {
-      if (e.children.size() != 2) {
-        throw CompileError(e.name + " takes two arguments", e.line, e.column);
-      }
-      V a = arg(0), b = arg(1);
-      if (!a.IsInt() || !b.IsInt()) {
-        throw CompileError(e.name + " requires integer arguments", e.line,
-                           e.column);
-      }
-      auto [q, r] = IntDivMod(a.AsInt(), b.AsInt(), e.line);
-      return e.name == "idiv" ? V(q) : V(r);
-    }
-    if (e.name == "isqrt") {
-      if (e.children.size() != 1) {
-        throw CompileError("isqrt takes one argument", e.line, e.column);
-      }
-      V a = arg(0);
-      if (!a.IsInt()) {
-        throw CompileError("isqrt requires an integer argument", e.line,
-                           e.column);
-      }
-      return V(IntSqrt(a.AsInt(), e.line));
-    }
-    auto fn = functions_.find(e.name);
-    if (fn != functions_.end()) {
-      return CallFunction(*fn->second, e);
-    }
-    throw CompileError("unknown function '" + e.name + "'", e.line, e.column);
-  }
-
-  // Inlines a user function: arguments bind into a saved-and-restored copy
-  // of the environment, so writes inside the function stay local.
-  V CallFunction(const FunctionDecl& f, const Expr& call) {
-    if (call.children.size() != f.params.size()) {
-      throw CompileError("function '" + f.name + "' expects " +
-                             std::to_string(f.params.size()) + " arguments",
-                         call.line, call.column);
-    }
-    if (call_depth_ >= kMaxCallDepth) {
-      throw CompileError("call depth limit exceeded (recursion?)", call.line,
-                         call.column);
-    }
-    std::vector<V> args;
-    args.reserve(f.params.size());
-    for (size_t i = 0; i < f.params.size(); i++) {
-      args.push_back(Eval(*call.children[i]));
-    }
-    std::map<std::string, V> saved_env = env_;
-    auto saved_decl_types = decl_types_;
-    for (size_t i = 0; i < f.params.size(); i++) {
-      const auto& p = f.params[i];
-      V v = args[i];
-      if (p.type.kind == TypeNode::Kind::kRational && v.IsInt()) {
-        v = V(RV::FromInt(v.AsInt()));
-      }
-      env_[p.name] = std::move(v);
-      decl_types_.erase(p.name);  // param widths are advisory, not rounding
-    }
-    call_depth_++;
-    return_value_.reset();
-    for (const auto& s : f.body) {
-      Exec(*s);
-    }
-    call_depth_--;
-    if (!return_value_.has_value()) {
-      throw CompileError("function '" + f.name + "' did not return",
-                         call.line, call.column);
-    }
-    V result = std::move(*return_value_);
-    return_value_.reset();
-    env_ = std::move(saved_env);
-    decl_types_ = std::move(saved_decl_types);
-    return result;
-  }
-
-  // Runtime integer division: a = q·b + r with 0 <= r < b; requires b > 0
-  // at runtime (the witness solver enforces it).
-  std::pair<IV, IV> IntDivMod(const IV& a, const IV& b, size_t line) {
-    if (a.IsStatic() && b.IsStatic() && *b.static_value > 0) {
-      int64_t av = *a.static_value, bv = *b.static_value;
-      int64_t q = av / bv, r = av % bv;
-      if (r < 0) {  // floor semantics
-        q -= 1;
-        r += bv;
-      }
-      return {IV::Constant(q), IV::Constant(r)};
-    }
-    auto [quot, rem] = builder_.DivFloor(a.lc, b.lc);
-    size_t wb = static_cast<size_t>(std::ceil(b.width));
-    CheckWidth(static_cast<double>(wb), line);
-    builder_.Decompose(rem, wb);
-    IV r_iv;
-    r_iv.lc = rem;
-    r_iv.width = static_cast<double>(wb);
-    BV r_less = IntLess(r_iv, b, line);
-    builder_.AssertEqual(r_less.lc, LC(F::One()));
-    size_t wq = static_cast<size_t>(std::ceil(a.width));
-    CheckWidth(static_cast<double>(wq + 1), line);
-    LC shifted = quot;
-    shifted.AddConstant(PowerOfTwo(wq));
-    builder_.Decompose(shifted, wq + 1);
-    IV q_iv;
-    q_iv.lc = quot;
-    q_iv.width = static_cast<double>(wq);
-    return {q_iv, r_iv};
-  }
-
-  // Integer square root: s with s^2 <= x < (s+1)^2; requires x >= 0.
-  IV IntSqrt(const IV& x, size_t line) {
-    if (x.IsStatic() && *x.static_value >= 0) {
-      int64_t v = *x.static_value;
-      int64_t s = static_cast<int64_t>(std::sqrt(static_cast<double>(v)));
-      while (s > 0 && s * s > v) {
-        s--;
-      }
-      while ((s + 1) * (s + 1) <= v) {
-        s++;
-      }
-      return IV::Constant(s);
-    }
-    size_t w = static_cast<size_t>(std::ceil(x.width));
-    CheckWidth(static_cast<double>(w + 2), line);
-    LC s = builder_.SqrtWitness(x.lc);
-    LC s_sq = builder_.Product(s, s);
-    // x - s^2 in [0, 2^w).
-    LC low = x.lc + s_sq * (-F::One());
-    low.Compact();
-    builder_.Decompose(low, w);
-    // (s+1)^2 - x - 1 = s^2 + 2s - x >= 0.
-    LC high = s_sq + s + s + x.lc * (-F::One());
-    high.Compact();
-    builder_.Decompose(high, w);
-    IV out;
-    out.lc = s;
-    out.width = static_cast<double>(w / 2 + 1);
-    return out;
-  }
-
-  V EvalIndex(const Expr& e) {
-    const Expr& base = *e.children[0];
-    auto it = env_.find(base.name);
-    if (it == env_.end() || !it->second.IsArray()) {
-      throw CompileError("'" + base.name + "' is not an array", e.line,
-                         e.column);
-    }
-    const AV& arr = it->second.AsArray();
-    if (e.children.size() - 1 != arr.dims.size()) {
-      throw CompileError("wrong number of indices", e.line, e.column);
-    }
-    IV index = LinearIndexExprs(arr, e.children, 1, e.line);
-    if (index.IsStatic()) {
-      int64_t off = *index.static_value;
-      if (off < 0 || static_cast<size_t>(off) >= arr.elems.size()) {
-        throw CompileError("array index out of bounds", e.line, e.column);
-      }
-      return arr.elems[static_cast<size_t>(off)];
-    }
-    // Runtime read: sum of selector-masked elements.
-    return SelectRuntime(arr, index, e.line);
-  }
-
-  // ----- integer ops -----
-
   void CheckWidth(double width, size_t line) {
     if (width > kMaxWidth) {
       throw CompileError(
@@ -775,166 +406,6 @@ class Evaluator {
     return hi + std::log2(1.0 + std::exp2(lo - hi));
   }
 
-  static std::optional<int64_t> ClipStatic(__int128 v) {
-    const __int128 kLimit = static_cast<__int128>(1) << 62;
-    if (v >= kLimit || v <= -kLimit) {
-      return std::nullopt;
-    }
-    return static_cast<int64_t>(v);
-  }
-
-  IV IntAdd(const IV& a, const IV& b, size_t line, bool subtract = false) {
-    IV r;
-    r.lc = subtract ? a.lc + b.lc * (-F::One()) : a.lc + b.lc;
-    r.lc.Compact();
-    r.width = AddWidth(a.width, b.width);
-    CheckWidth(r.width, line);
-    if (a.IsStatic() && b.IsStatic()) {
-      __int128 v = static_cast<__int128>(*a.static_value) +
-                   (subtract ? -static_cast<__int128>(*b.static_value)
-                             : static_cast<__int128>(*b.static_value));
-      r.static_value = ClipStatic(v);
-    }
-    return r;
-  }
-
-  IV IntMul(const IV& a, const IV& b, size_t line) {
-    IV r;
-    r.width = a.width + b.width;
-    CheckWidth(r.width, line);
-    r.lc = builder_.Product(a.lc, b.lc);
-    if (a.IsStatic() && b.IsStatic()) {
-      r.static_value = ClipStatic(static_cast<__int128>(*a.static_value) *
-                                  *b.static_value);
-    }
-    return r;
-  }
-
-  IV IntNeg(const IV& a) {
-    IV r;
-    r.lc = a.lc * (-F::One());
-    r.width = a.width;
-    if (a.IsStatic()) {
-      r.static_value = -*a.static_value;
-    }
-    return r;
-  }
-
-  // a < b via shifted bit decomposition (O(width) constraints).
-  BV IntLess(const IV& a, const IV& b, size_t line) {
-    if (a.IsStatic() && b.IsStatic()) {
-      return BV::Constant(*a.static_value < *b.static_value);
-    }
-    size_t w = static_cast<size_t>(std::ceil(AddWidth(a.width, b.width)));
-    CheckWidth(static_cast<double>(w + 1), line);
-    // d = a - b + 2^w is in (0, 2^{w+1}); a < b iff d < 2^w iff bit w clear.
-    LC d = a.lc + b.lc * (-F::One());
-    d.AddConstant(PowerOfTwo(w));
-    d.Compact();
-    std::vector<LC> bits = builder_.Decompose(d, w + 1);
-    BV r;
-    r.lc = LinearCombination<F>(F::One()) + bits[w] * (-F::One());
-    r.lc.Compact();
-    return r;
-  }
-
-  // `line` kept for signature uniformity with the other gadgets; IsZero is
-  // width-free so nothing here can overflow-report against it.
-  BV IntEq(const IV& a, const IV& b, size_t /*line*/ = 0) {
-    if (a.IsStatic() && b.IsStatic()) {
-      return BV::Constant(*a.static_value == *b.static_value);
-    }
-    LC d = a.lc + b.lc * (-F::One());
-    d.Compact();
-    if (d.IsConstant()) {
-      return BV::Constant(d.constant().IsZero());
-    }
-    BV r;
-    r.lc = builder_.IsZero(d);
-    return r;
-  }
-
-  // Bitwise ops on nonnegative integers via bit decomposition. AND pays one
-  // product per bit; OR and XOR derive from it arithmetically:
-  //   a|b = a + b - (a&b),   a^b = a + b - 2(a&b).
-  IV IntBitwise(TokenKind op, const IV& a, const IV& b, size_t line) {
-    if (a.IsStatic() && b.IsStatic() && *a.static_value >= 0 &&
-        *b.static_value >= 0) {
-      int64_t av = *a.static_value, bv = *b.static_value;
-      int64_t r = op == TokenKind::kAmp   ? (av & bv)
-                  : op == TokenKind::kPipe ? (av | bv)
-                                           : (av ^ bv);
-      return IV::Constant(r);
-    }
-    size_t w = static_cast<size_t>(
-        std::ceil(std::max(a.width, b.width)));
-    CheckWidth(static_cast<double>(w), line);
-    std::vector<LC> abits = builder_.Decompose(a.lc, w);
-    std::vector<LC> bbits = builder_.Decompose(b.lc, w);
-    LC and_acc;
-    F pow = F::One();
-    for (size_t i = 0; i < w; i++) {
-      and_acc = and_acc + builder_.Product(abits[i], bbits[i]) * pow;
-      pow = pow.Double();
-    }
-    and_acc.Compact();
-    IV r;
-    r.width = static_cast<double>(w);
-    switch (op) {
-      case TokenKind::kAmp:
-        r.lc = and_acc;
-        break;
-      case TokenKind::kPipe:
-        r.lc = a.lc + b.lc + and_acc * (-F::One());
-        break;
-      default:  // kCaret
-        r.lc = a.lc + b.lc + and_acc * (-F::FromUint(2));
-        break;
-    }
-    r.lc.Compact();
-    return r;
-  }
-
-  IV IntShl(const IV& a, size_t k, size_t line) {
-    IV r;
-    r.lc = a.lc * PowerOfTwo(k);
-    r.width = a.width + static_cast<double>(k);
-    CheckWidth(r.width, line);
-    if (a.IsStatic()) {
-      r.static_value = ClipStatic(static_cast<__int128>(*a.static_value)
-                                  << k);
-    }
-    return r;
-  }
-
-  // Arithmetic (floor) right shift, valid for negative values too.
-  IV IntShr(const IV& a, size_t k, size_t line) {
-    if (a.IsStatic()) {
-      return IV::Constant(*a.static_value >> k);  // arithmetic shift
-    }
-    size_t kbits = static_cast<size_t>(std::ceil(a.width));
-    if (k >= kbits) {
-      // Result is 0 for nonnegative, -1 for negative: floor(a / 2^k).
-      kbits = k;  // decompose wide enough to capture the sign
-    }
-    CheckWidth(static_cast<double>(kbits + 1), line);
-    LC shifted = a.lc;
-    shifted.AddConstant(PowerOfTwo(kbits));
-    std::vector<LC> bits = builder_.Decompose(shifted, kbits + 1);
-    LC high;
-    F pow = F::One();
-    for (size_t i = k; i <= kbits; i++) {
-      high = high + bits[i] * pow;
-      pow = pow.Double();
-    }
-    high.AddConstant(-PowerOfTwo(kbits - k));
-    high.Compact();
-    IV r;
-    r.lc = high;
-    r.width = std::max(1.0, a.width - static_cast<double>(k));
-    return r;
-  }
-
   static F PowerOfTwo(size_t w) {
     F r = F::One();
     for (size_t i = 0; i < w; i++) {
@@ -943,143 +414,28 @@ class Evaluator {
     return r;
   }
 
-  // ----- bool ops -----
-
-  BV BoolNot(const BV& a) {
-    BV r;
-    r.lc = LinearCombination<F>(F::One()) + a.lc * (-F::One());
-    r.lc.Compact();
-    if (a.IsStatic()) {
-      r.static_value = !*a.static_value;
+  // floor(v / 2^s) from the bits of `shifted` = v + 2^kbits, which must lie
+  // in [0, 2^(kbits+1)).
+  LC HighBits(const LC& shifted, size_t kbits, size_t s) {
+    std::vector<LC> bits = builder_.Decompose(shifted, kbits + 1);
+    LC high;
+    F pow = F::One();
+    for (size_t i = s; i <= kbits; i++) {
+      high = high + bits[i] * pow;
+      pow = pow.Double();
     }
+    high.AddConstant(-PowerOfTwo(kbits - s));
+    high.Compact();
+    return high;
+  }
+
+  // Pins a DivFloor remainder to [0, divisor): r in [0, 2^wd) and r < d.
+  Int BoundedRemainder(const LC& rem, const Int& divisor, size_t line) {
+    size_t wd = static_cast<size_t>(std::ceil(divisor.width));
+    builder_.Decompose(rem, wd);
+    Int r{rem, static_cast<double>(wd)};
+    builder_.AssertEqual(Less(r, divisor, line), LC(F::One()));
     return r;
-  }
-
-  BV BoolAnd(const BV& a, const BV& b) {
-    if (a.IsStatic()) {
-      return *a.static_value ? b : BV::Constant(false);
-    }
-    if (b.IsStatic()) {
-      return *b.static_value ? a : BV::Constant(false);
-    }
-    BV r;
-    r.lc = builder_.Product(a.lc, b.lc);
-    return r;
-  }
-
-  BV BoolOr(const BV& a, const BV& b) {
-    if (a.IsStatic()) {
-      return *a.static_value ? BV::Constant(true) : b;
-    }
-    if (b.IsStatic()) {
-      return *b.static_value ? BV::Constant(true) : a;
-    }
-    BV r;
-    LC prod = builder_.Product(a.lc, b.lc);
-    r.lc = a.lc + b.lc + prod * (-F::One());
-    r.lc.Compact();
-    return r;
-  }
-
-  // ----- rational ops -----
-
-  RV ToRational(const V& v, size_t line) const {
-    if (v.IsRational()) {
-      return v.AsRational();
-    }
-    if (v.IsInt()) {
-      return RV::FromInt(v.AsInt());
-    }
-    throw CompileError("expected a numeric value", line, 0);
-  }
-
-  RV RatAdd(const RV& a, const RV& b, size_t line, bool subtract = false) {
-    RV r;
-    IV n1d2 = IntMul(a.num, b.den, line);
-    IV n2d1 = IntMul(b.num, a.den, line);
-    r.num = IntAdd(n1d2, n2d1, line, subtract);
-    r.den = IntMul(a.den, b.den, line);
-    return r;
-  }
-
-  RV RatMul(const RV& a, const RV& b, size_t line) {
-    RV r;
-    r.num = IntMul(a.num, b.num, line);
-    r.den = IntMul(a.den, b.den, line);
-    return r;
-  }
-
-  BV RatLess(const RV& a, const RV& b, size_t line) {
-    // n1/d1 < n2/d2  <=>  n1·d2 < n2·d1 (denominators positive).
-    return IntLess(IntMul(a.num, b.den, line), IntMul(b.num, a.den, line),
-                   line);
-  }
-
-  BV RatEq(const RV& a, const RV& b, size_t line) {
-    return IntEq(IntMul(a.num, b.den, line), IntMul(b.num, a.den, line),
-                 line);
-  }
-
-  // ----- generic dispatch -----
-
-  BV Less(const V& a, const V& b, size_t line) {
-    if (a.IsInt() && b.IsInt()) {
-      return IntLess(a.AsInt(), b.AsInt(), line);
-    }
-    return RatLess(ToRational(a, line), ToRational(b, line), line);
-  }
-
-  V Negate(const V& a, size_t line) {
-    if (a.IsInt()) {
-      return V(IntNeg(a.AsInt()));
-    }
-    if (a.IsRational()) {
-      RV r = a.AsRational();
-      r.num = IntNeg(r.num);
-      return V(r);
-    }
-    throw CompileError("cannot negate this type", line, 0);
-  }
-
-  V Mux(const BV& c, const V& a, const V& b, size_t line) {
-    if (c.IsStatic()) {
-      return *c.static_value ? a : b;
-    }
-    if (a.IsArray() || b.IsArray()) {
-      if (!a.IsArray() || !b.IsArray() ||
-          a.AsArray().dims != b.AsArray().dims) {
-        throw CompileError("mux over mismatched arrays", line, 0);
-      }
-      AV out;
-      out.dims = a.AsArray().dims;
-      out.elems.reserve(a.AsArray().elems.size());
-      for (size_t i = 0; i < a.AsArray().elems.size(); i++) {
-        out.elems.push_back(
-            Mux(c, a.AsArray().elems[i], b.AsArray().elems[i], line));
-      }
-      return V(std::move(out));
-    }
-    if (a.IsBool() && b.IsBool()) {
-      BV r;
-      r.lc = MuxLc(c.lc, a.AsBool().lc, b.AsBool().lc);
-      return V(r);
-    }
-    if (a.IsInt() && b.IsInt()) {
-      IV r;
-      r.lc = MuxLc(c.lc, a.AsInt().lc, b.AsInt().lc);
-      r.width = std::max(a.AsInt().width, b.AsInt().width);
-      return V(r);
-    }
-    if ((a.IsRational() || a.IsInt()) && (b.IsRational() || b.IsInt())) {
-      RV ra = ToRational(a, line), rb = ToRational(b, line);
-      RV r;
-      r.num.lc = MuxLc(c.lc, ra.num.lc, rb.num.lc);
-      r.num.width = std::max(ra.num.width, rb.num.width);
-      r.den.lc = MuxLc(c.lc, ra.den.lc, rb.den.lc);
-      r.den.width = std::max(ra.den.width, rb.den.width);
-      return V(r);
-    }
-    throw CompileError("mux over mismatched types", line, 0);
   }
 
   // b + c·(a - b); free when the arms agree.
@@ -1094,313 +450,19 @@ class Evaluator {
     return r;
   }
 
-  V EvalBinary(const Expr& e) {
-    // Short-circuitable bool ops still evaluate both sides (no side effects
-    // in expressions), so plain dispatch is fine.
-    V a = Eval(*e.children[0]);
-    V b = Eval(*e.children[1]);
-    switch (e.op) {
-      case TokenKind::kPlus:
-      case TokenKind::kMinus: {
-        bool sub = e.op == TokenKind::kMinus;
-        if (a.IsInt() && b.IsInt()) {
-          return V(IntAdd(a.AsInt(), b.AsInt(), e.line, sub));
-        }
-        return V(RatAdd(ToRational(a, e.line), ToRational(b, e.line), e.line,
-                        sub));
-      }
-      case TokenKind::kStar:
-        if (a.IsInt() && b.IsInt()) {
-          return V(IntMul(a.AsInt(), b.AsInt(), e.line));
-        }
-        return V(RatMul(ToRational(a, e.line), ToRational(b, e.line), e.line));
-      case TokenKind::kSlash:
-        return EvalDivide(a, b, e);
-      case TokenKind::kPercent: {
-        if (!a.IsInt() || !b.IsInt() || !a.AsInt().IsStatic() ||
-            !b.AsInt().IsStatic()) {
-          throw CompileError("'%' requires compile-time integers", e.line,
-                             e.column);
-        }
-        return V(IV::Constant(*a.AsInt().static_value %
-                              *b.AsInt().static_value));
-      }
-      case TokenKind::kLess:
-        return V(Less(a, b, e.line));
-      case TokenKind::kGreater:
-        return V(Less(b, a, e.line));
-      case TokenKind::kLessEq:
-        return V(BoolNot(Less(b, a, e.line)));
-      case TokenKind::kGreaterEq:
-        return V(BoolNot(Less(a, b, e.line)));
-      case TokenKind::kEqEq:
-      case TokenKind::kNotEq: {
-        BV eq = EvalEq(a, b, e.line);
-        return V(e.op == TokenKind::kEqEq ? eq : BoolNot(eq));
-      }
-      case TokenKind::kAndAnd:
-        RequireBool(a, b, e);
-        return V(BoolAnd(a.AsBool(), b.AsBool()));
-      case TokenKind::kOrOr:
-        RequireBool(a, b, e);
-        return V(BoolOr(a.AsBool(), b.AsBool()));
-      case TokenKind::kAmp:
-      case TokenKind::kPipe:
-      case TokenKind::kCaret:
-        if (!a.IsInt() || !b.IsInt()) {
-          throw CompileError("bitwise operator requires integers", e.line,
-                             e.column);
-        }
-        return V(IntBitwise(e.op, a.AsInt(), b.AsInt(), e.line));
-      case TokenKind::kShl:
-      case TokenKind::kShr: {
-        if (!a.IsInt() || !b.IsInt() || !b.AsInt().IsStatic() ||
-            *b.AsInt().static_value < 0) {
-          throw CompileError(
-              "shift amount must be a nonnegative compile-time integer",
-              e.line, e.column);
-        }
-        size_t k = static_cast<size_t>(*b.AsInt().static_value);
-        return V(e.op == TokenKind::kShl ? IntShl(a.AsInt(), k, e.line)
-                                         : IntShr(a.AsInt(), k, e.line));
-      }
-      default:
-        throw CompileError("internal: unknown binary operator", e.line,
-                           e.column);
-    }
-  }
-
-  BV EvalEq(const V& a, const V& b, size_t line) {
-    if (a.IsBool() && b.IsBool()) {
-      // 1 - a - b + 2ab.
-      const BV& x = a.AsBool();
-      const BV& y = b.AsBool();
-      if (x.IsStatic() && y.IsStatic()) {
-        return BV::Constant(*x.static_value == *y.static_value);
-      }
-      BV r;
-      LC prod = builder_.Product(x.lc, y.lc);
-      r.lc = LinearCombination<F>(F::One()) + x.lc * (-F::One()) +
-             y.lc * (-F::One()) + prod + prod;
-      r.lc.Compact();
-      return r;
-    }
-    if (a.IsInt() && b.IsInt()) {
-      return IntEq(a.AsInt(), b.AsInt(), line);
-    }
-    return RatEq(ToRational(a, line), ToRational(b, line), line);
-  }
-
-  V EvalDivide(const V& a, const V& b, const Expr& e) {
-    // Integer division: compile-time only. Rational division: by a positive
-    // compile-time integer (scales the denominator; positivity preserved).
-    if (a.IsInt() && b.IsInt() && a.AsInt().IsStatic() &&
-        b.AsInt().IsStatic()) {
-      if (*b.AsInt().static_value == 0) {
-        throw CompileError("division by zero", e.line, e.column);
-      }
-      return V(IV::Constant(*a.AsInt().static_value /
-                            *b.AsInt().static_value));
-    }
-    if (b.IsInt() && b.AsInt().IsStatic()) {
-      int64_t k = *b.AsInt().static_value;
-      if (k <= 0) {
-        throw CompileError("rational division requires a positive constant",
-                           e.line, e.column);
-      }
-      RV r = ToRational(a, e.line);
-      r.den = IntMul(r.den, IV::Constant(k), e.line);
-      return V(r);
-    }
-    throw CompileError(
-        "unsupported division (only by compile-time constants)", e.line,
-        e.column);
-  }
-
-  void RequireBool(const V& a, const V& b, const Expr& e) {
-    if (!a.IsBool() || !b.IsBool()) {
-      throw CompileError("logical operator requires bool operands", e.line,
-                         e.column);
-    }
-  }
-
-  V EvalUnary(const Expr& e) {
-    V a = Eval(*e.children[0]);
-    if (e.op == TokenKind::kMinus) {
-      return Negate(a, e.line);
-    }
-    if (e.op == TokenKind::kNot) {
-      if (!a.IsBool()) {
-        throw CompileError("'!' requires a bool", e.line, e.column);
-      }
-      return V(BoolNot(a.AsBool()));
-    }
-    throw CompileError("internal: unknown unary operator", e.line, e.column);
-  }
-
-  // ----- array helpers -----
-
-  IV LinearIndexExprs(const AV& arr,
-                      const std::vector<ExprPtr>& exprs, size_t first,
-                      size_t line) {
-    IV idx = IV::Constant(0);
-    for (size_t k = 0; k < arr.dims.size(); k++) {
-      V v = Eval(*exprs[first + k]);
-      if (!v.IsInt()) {
-        throw CompileError("array index must be an integer", line, 0);
-      }
-      idx = IntMul(idx, IV::Constant(static_cast<int64_t>(arr.dims[k])),
-                   line);
-      idx = IntAdd(idx, v.AsInt(), line);
-    }
-    return idx;
-  }
-
-  IV LinearIndex(const AV& arr, const Stmt& s) {
-    IV idx = IV::Constant(0);
-    for (size_t k = 0; k < arr.dims.size(); k++) {
-      V v = Eval(*s.indices[k]);
-      if (!v.IsInt()) {
-        throw CompileError("array index must be an integer", s.line,
-                           s.column);
-      }
-      idx = IntMul(idx, IV::Constant(static_cast<int64_t>(arr.dims[k])),
-                   s.line);
-      idx = IntAdd(idx, v.AsInt(), s.line);
-    }
-    return idx;
-  }
-
-  size_t CheckedOffset(const IV& index, const AV& arr, const Stmt& s) {
-    int64_t off = *index.static_value;
-    if (off < 0 || static_cast<size_t>(off) >= arr.elems.size()) {
-      throw CompileError("array index out of bounds", s.line, s.column);
-    }
-    return static_cast<size_t>(off);
-  }
-
-  V SelectRuntime(const AV& arr, const IV& index, size_t line) {
-    // result = sum_i (index == i) · elem_i, per scalar component.
-    std::vector<LC> sels;
-    sels.reserve(arr.elems.size());
-    for (size_t i = 0; i < arr.elems.size(); i++) {
-      sels.push_back(
-          IntEq(index, IV::Constant(static_cast<int64_t>(i)), line).lc);
-    }
-    const V& first = arr.elems[0];
-    if (first.IsInt() || first.IsBool()) {
-      LC acc;
-      double width = 1;
-      for (size_t i = 0; i < arr.elems.size(); i++) {
-        const LC& elem_lc =
-            first.IsInt() ? arr.elems[i].AsInt().lc : arr.elems[i].AsBool().lc;
-        acc = acc + builder_.Product(sels[i], elem_lc);
-        if (first.IsInt()) {
-          width = std::max(width, arr.elems[i].AsInt().width);
-        }
-      }
-      acc.Compact();
-      if (first.IsBool()) {
-        BV r;
-        r.lc = acc;
-        return V(r);
-      }
-      IV r;
-      r.lc = acc;
-      r.width = width;
-      return V(r);
-    }
-    if (first.IsRational()) {
-      LC num_acc, den_acc;
-      double nw = 1, dw = 1;
-      for (size_t i = 0; i < arr.elems.size(); i++) {
-        const RV& rv = arr.elems[i].AsRational();
-        num_acc = num_acc + builder_.Product(sels[i], rv.num.lc);
-        den_acc = den_acc + builder_.Product(sels[i], rv.den.lc);
-        nw = std::max(nw, rv.num.width);
-        dw = std::max(dw, rv.den.width);
-      }
-      num_acc.Compact();
-      den_acc.Compact();
-      RV r;
-      r.num.lc = num_acc;
-      r.num.width = nw;
-      r.den.lc = den_acc;
-      r.den.width = dw;
-      return V(r);
-    }
-    throw CompileError("runtime indexing of nested arrays is unsupported",
-                       line, 0);
-  }
-
-  // ----- outputs -----
-
-  struct OutputBinding {
-    const Declaration* decl = nullptr;
-    TypeNode type;
-    std::vector<uint32_t> vars;
-  };
-
-  void BindOutputs() {
-    for (const auto& binding : output_bindings_) {
-      const V& v = env_.at(binding.decl->name);
-      std::vector<LC> scalars;
-      CollectScalars(v, binding.type, binding.decl->line, &scalars);
-      if (scalars.size() != binding.vars.size()) {
-        throw CompileError(
-            "output '" + binding.decl->name + "' shape mismatch",
-            binding.decl->line, binding.decl->column);
-      }
-      for (size_t i = 0; i < scalars.size(); i++) {
-        builder_.BindOutput(binding.vars[i], scalars[i]);
-      }
-    }
-  }
-
-  void CollectScalars(const V& v, const TypeNode& type, size_t line,
-                      std::vector<LC>* out) {
-    if (v.IsArray()) {
-      for (const auto& elem : v.AsArray().elems) {
-        CollectScalars(elem, type, line, out);
-      }
-      return;
-    }
-    switch (type.kind) {
-      case TypeNode::Kind::kInt:
-        if (!v.IsInt()) {
-          throw CompileError("output type mismatch (expected int)", line, 0);
-        }
-        out->push_back(v.AsInt().lc);
-        break;
-      case TypeNode::Kind::kBool:
-        if (!v.IsBool()) {
-          throw CompileError("output type mismatch (expected bool)", line, 0);
-        }
-        out->push_back(v.AsBool().lc);
-        break;
-      case TypeNode::Kind::kRational: {
-        RV r = ToRational(v, line);
-        out->push_back(r.num.lc);
-        out->push_back(r.den.lc);
-        break;
-      }
-    }
-  }
-
-  static constexpr size_t kMaxCallDepth = 64;
-
-  const ProgramAst* ast_;
   CircuitBuilder<F> builder_;
-  std::map<std::string, V> env_;
-  std::map<std::string, TypeNode> decl_types_;
-  std::map<std::string, const FunctionDecl*> functions_;
-  size_t call_depth_ = 0;
-  std::optional<V> return_value_;
-  std::vector<std::set<std::string>> write_logs_;
   std::vector<IoSlotSpec> input_slots_;
   std::vector<IoSlotSpec> output_slots_;
   std::vector<OutputBinding> output_bindings_;
 };
+
+// Lowers a parsed program to a Ginger system plus its witness solver.
+template <typename F>
+EvaluationResult<F> LowerToConstraints(const ProgramAst& ast) {
+  R1csDomain<F> domain;
+  auto outputs = AstWalker<R1csDomain<F>>(ast, &domain).Run();
+  return domain.Finish(outputs);
+}
 
 }  // namespace zaatar
 

@@ -1,11 +1,11 @@
-// Typed symbolic values manipulated by the evaluator.
+// Typed values manipulated by the AST walker (src/compiler/walker.h).
 //
-// Integers are field elements with a tracked magnitude bound: |v| < 2^width.
-// Widths grow through arithmetic (add: +1 bit, mul: sum) and gate the
-// comparison gadgets; exceeding the field capacity is a compile error (the
-// paper's compiler has the same bounded-width model). A value known at
-// compile time additionally carries `static_value`, which is what loop
-// bounds and array indices require.
+// Each scalar pairs the value domain's own representation `x` (a linear
+// combination with a width bound when compiling, a 128-bit integer in the
+// native reference, a polynomial in the symbolic evaluator) with the
+// walker's static shadow: `static_value` is set exactly when the compiler
+// knows the value at compile time, which is what loop bounds, array
+// indices and one-armed `if`s require.
 //
 // Rationals follow Ginger's primitive floating-point representation: a pair
 // (numerator, denominator) of integers with the denominator positive by
@@ -15,98 +15,70 @@
 #ifndef SRC_COMPILER_VALUES_H_
 #define SRC_COMPILER_VALUES_H_
 
-#include <cmath>
 #include <cstdint>
 #include <optional>
 #include <variant>
 #include <vector>
 
-#include "src/constraints/linear_combination.h"
-
 namespace zaatar {
 
-template <typename F>
+template <typename D>
 struct IntVal {
-  LinearCombination<F> lc;
-  // Magnitude bound: |value| < 2^width. A real number, so long accumulation
-  // chains grow by log2(#terms), not by one bit per addition.
-  double width = 1;
+  typename D::Int x{};
   std::optional<int64_t> static_value;
 
-  static IntVal Constant(int64_t v) {
-    IntVal r;
-    r.lc = LinearCombination<F>(F::FromInt(v));
-    uint64_t mag = v >= 0 ? static_cast<uint64_t>(v)
-                          : static_cast<uint64_t>(-(v + 1)) + 1;
-    size_t bits = 1;
-    while ((uint64_t{1} << bits) <= mag && bits < 63) {
-      bits++;
-    }
-    r.width = static_cast<double>(bits);
-    r.static_value = v;
-    return r;
-  }
-
+  static IntVal Constant(int64_t v) { return IntVal{D::Const(v), v}; }
   bool IsStatic() const { return static_value.has_value(); }
 };
 
-template <typename F>
+template <typename D>
 struct BoolVal {
-  LinearCombination<F> lc;  // guaranteed 0 or 1
+  typename D::Bool x{};  // 0 or 1
   std::optional<bool> static_value;
 
-  static BoolVal Constant(bool v) {
-    BoolVal r;
-    r.lc = LinearCombination<F>(v ? F::One() : F::Zero());
-    r.static_value = v;
-    return r;
-  }
-
+  static BoolVal Constant(bool v) { return BoolVal{D::BoolConst(v), v}; }
   bool IsStatic() const { return static_value.has_value(); }
 };
 
-template <typename F>
+template <typename D>
 struct RatVal {
-  IntVal<F> num;
-  IntVal<F> den;  // positive by construction
+  IntVal<D> num;
+  IntVal<D> den;  // positive by construction
 
-  static RatVal FromInt(const IntVal<F>& v) {
-    RatVal r;
-    r.num = v;
-    r.den = IntVal<F>::Constant(1);
-    return r;
+  static RatVal FromInt(const IntVal<D>& v) {
+    return RatVal{v, IntVal<D>::Constant(1)};
   }
 };
 
-template <typename F>
+template <typename D>
 struct Value;
 
-template <typename F>
+template <typename D>
 struct ArrayVal {
-  std::vector<size_t> dims;       // outermost first
-  std::vector<Value<F>> elems;    // row-major, dims product elements
+  std::vector<size_t> dims;     // outermost first
+  std::vector<Value<D>> elems;  // row-major, dims product elements
 };
 
-template <typename F>
+template <typename D>
 struct Value {
-  std::variant<IntVal<F>, BoolVal<F>, RatVal<F>, ArrayVal<F>> v;
+  std::variant<IntVal<D>, BoolVal<D>, RatVal<D>, ArrayVal<D>> v;
 
-  Value() : v(IntVal<F>::Constant(0)) {}
-  Value(IntVal<F> x) : v(std::move(x)) {}          // NOLINT(runtime/explicit)
-  Value(BoolVal<F> x) : v(std::move(x)) {}         // NOLINT(runtime/explicit)
-  Value(RatVal<F> x) : v(std::move(x)) {}          // NOLINT(runtime/explicit)
-  Value(ArrayVal<F> x) : v(std::move(x)) {}        // NOLINT(runtime/explicit)
+  Value() : v(IntVal<D>::Constant(0)) {}
+  Value(IntVal<D> x) : v(std::move(x)) {}    // NOLINT(runtime/explicit)
+  Value(BoolVal<D> x) : v(std::move(x)) {}   // NOLINT(runtime/explicit)
+  Value(RatVal<D> x) : v(std::move(x)) {}    // NOLINT(runtime/explicit)
+  Value(ArrayVal<D> x) : v(std::move(x)) {}  // NOLINT(runtime/explicit)
 
-  bool IsInt() const { return std::holds_alternative<IntVal<F>>(v); }
-  bool IsBool() const { return std::holds_alternative<BoolVal<F>>(v); }
-  bool IsRational() const { return std::holds_alternative<RatVal<F>>(v); }
-  bool IsArray() const { return std::holds_alternative<ArrayVal<F>>(v); }
+  bool IsInt() const { return std::holds_alternative<IntVal<D>>(v); }
+  bool IsBool() const { return std::holds_alternative<BoolVal<D>>(v); }
+  bool IsRational() const { return std::holds_alternative<RatVal<D>>(v); }
+  bool IsArray() const { return std::holds_alternative<ArrayVal<D>>(v); }
 
-  const IntVal<F>& AsInt() const { return std::get<IntVal<F>>(v); }
-  const BoolVal<F>& AsBool() const { return std::get<BoolVal<F>>(v); }
-  const RatVal<F>& AsRational() const { return std::get<RatVal<F>>(v); }
-  const ArrayVal<F>& AsArray() const { return std::get<ArrayVal<F>>(v); }
-  ArrayVal<F>& AsArray() { return std::get<ArrayVal<F>>(v); }
+  const IntVal<D>& AsInt() const { return std::get<IntVal<D>>(v); }
+  const BoolVal<D>& AsBool() const { return std::get<BoolVal<D>>(v); }
+  const RatVal<D>& AsRational() const { return std::get<RatVal<D>>(v); }
+  const ArrayVal<D>& AsArray() const { return std::get<ArrayVal<D>>(v); }
+  ArrayVal<D>& AsArray() { return std::get<ArrayVal<D>>(v); }
 };
 
 }  // namespace zaatar

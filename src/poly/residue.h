@@ -13,13 +13,9 @@
 //     v ≡ Σ t_i·(Q/q_i) − αQ with α recovered from Σ t_i/q_i in doubles),
 //     replacing the O(k²) Garner reconstruction.
 //   - ResiduePoly<F>: per-prime evaluation vectors with an integer
-//     coefficient bound tracked in bits. Mul/Add/Sub/Truncate/Reverse stay
-//     in residue form; Renormalize folds to F and re-reduces when bounds
-//     approach the basis capacity (62k−1 bits — one guard bit under Q so
-//     the float α-correction cannot straddle an integer).
-//
-// Subtraction keeps values non-negative by adding a multiple of p
-// (M = p·2^s ≥ 2^bound_b, free modulo p), so the fold never needs a sign.
+//     coefficient bound tracked in bits. Products stay in residue form as
+//     long as the bound fits the basis capacity (62k−1 bits — one guard bit
+//     under Q so the float α-correction cannot straddle an integer).
 
 #ifndef SRC_POLY_RESIDUE_H_
 #define SRC_POLY_RESIDUE_H_
@@ -120,15 +116,6 @@ class CrtBasis {
     return acc - alpha_q_[alpha];
   }
 
-  // Montgomery-form residues of p·2^s (a multiple of p covering 2^bound for
-  // non-negative subtraction; s small, so the per-call Pow is negligible).
-  void PadResidues(size_t s, uint64_t* out) const {
-    for (size_t pi = 0; pi < k_; pi++) {
-      const MontField64& f = fields_[pi];
-      out[pi] = f.Mul(p_mont_[pi], f.Pow(two_mont_[pi], s));
-    }
-  }
-
   static const CrtBasis& Get(size_t k) {
     static std::vector<CrtBasis> cache = [] {
       std::vector<CrtBasis> all(kNumNttPrimes + 1);
@@ -149,8 +136,6 @@ class CrtBasis {
     fold_c_.resize(k);
     m_mod_p_.resize(k);
     inv_q_.resize(k);
-    p_mont_.resize(k);
-    two_mont_.resize(k);
     alpha_q_.resize(k + 1);
 
     F q_prod = F::One();  // Q mod p
@@ -189,15 +174,6 @@ class CrtBasis {
       fold_c_[pi] = f.FromMont(f.Inverse(others));
       m_mod_p_[pi] = m_p;
       inv_q_[pi] = 1.0 / static_cast<double>(kNttPrimes[pi]);
-
-      // Mont(p mod q_i) via the limb bases, and Mont(2) for pad powers.
-      const auto& mod = F::kModulus;
-      uint64_t acc = 0;
-      for (size_t j = 0; j < F::kLimbs; j++) {
-        acc = f.Add(acc, f.Mul(mod.limbs[j], limb_r2_[pi][j]));
-      }
-      p_mont_[pi] = acc;
-      two_mont_[pi] = f.ToMont(2);
     }
   }
 
@@ -208,8 +184,6 @@ class CrtBasis {
   std::vector<F> m_mod_p_;
   std::vector<F> alpha_q_;  // alpha_q[a] = a·Q mod p
   std::vector<double> inv_q_;
-  std::vector<uint64_t> p_mont_;
-  std::vector<uint64_t> two_mont_;
 };
 
 // Forward NTT images of a fixed residue polynomial at one transform size,
@@ -280,122 +254,6 @@ class ResiduePoly {
       res[pi] = r_[pi][i];
     }
     return basis_->Fold(res, 1);
-  }
-
-  // Folds to F and re-reduces in place, restoring canonical bounds. Called
-  // between pipeline stages when the next product would overflow capacity.
-  void Renormalize(size_t workers) {
-    if (IsCanonical()) {
-      return;
-    }
-    assert(bound_bits_ <= basis_->capacity_bits());
-    size_t k = basis_->k();
-    ChunkedFor(len_, workers, [&](size_t i) {
-      uint64_t res[kNumNttPrimes];
-      for (size_t pi = 0; pi < k; pi++) {
-        res[pi] = r_[pi][i];
-      }
-      typename F::Repr rep = basis_->Fold(res, 1).ToCanonical();
-      basis_->ReduceLimbs(rep.limbs.data(), F::kLimbs, res);
-      for (size_t pi = 0; pi < k; pi++) {
-        r_[pi][i] = res[pi];
-      }
-    });
-    bound_bits_ = F::kModulusBits;
-  }
-
-  // ----- shape operations (length-preserving semantics, no trimming) -----
-
-  // The first `count` coefficients; pads with zeros if count > length.
-  ResiduePoly Truncate(size_t count) const {
-    ResiduePoly out = Make(*basis_, count, bound_bits_);
-    size_t copy = std::min(count, len_);
-    for (size_t pi = 0; pi < basis_->k(); pi++) {
-      std::copy(r_[pi].begin(), r_[pi].begin() + copy, out.r_[pi].begin());
-    }
-    return out;
-  }
-
-  // rev_k(f) = x^k f(1/x): out[j] = coeff(k - j). Requires len <= k + 1.
-  ResiduePoly Reverse(size_t k) const {
-    assert(len_ <= k + 1);
-    ResiduePoly out = Make(*basis_, k + 1, bound_bits_);
-    for (size_t pi = 0; pi < basis_->k(); pi++) {
-      for (size_t i = 0; i < len_; i++) {
-        out.r_[pi][k - i] = r_[pi][i];
-      }
-    }
-    return out;
-  }
-
-  // Zero/degree tests require canonical bounds: after a padded subtraction
-  // the residues carry multiples of p that vanish mod p but not mod Q.
-  bool IsZero() const {
-    assert(IsCanonical());
-    for (size_t pi = 0; pi < basis_->k(); pi++) {
-      for (uint64_t v : r_[pi]) {
-        if (v != 0) {
-          return false;
-        }
-      }
-    }
-    return true;
-  }
-
-  long Degree() const {
-    assert(IsCanonical());
-    for (size_t i = len_; i-- > 0;) {
-      for (size_t pi = 0; pi < basis_->k(); pi++) {
-        if (r_[pi][i] != 0) {
-          return static_cast<long>(i);
-        }
-      }
-    }
-    return -1;
-  }
-
-  // ----- arithmetic -----
-
-  static ResiduePoly Add(const ResiduePoly& a, const ResiduePoly& b,
-                         size_t workers) {
-    assert(a.basis_ == b.basis_);
-    size_t out_len = std::max(a.len_, b.len_);
-    ResiduePoly out =
-        Make(*a.basis_, out_len, std::max(a.bound_bits_, b.bound_bits_) + 1);
-    assert(out.bound_bits_ <= a.basis_->capacity_bits());
-    ParallelFor(a.basis_->k(), workers, [&](size_t pi) {
-      const MontField64& f = a.basis_->field(pi);
-      for (size_t i = 0; i < out_len; i++) {
-        uint64_t av = i < a.len_ ? a.r_[pi][i] : 0;
-        uint64_t bv = i < b.len_ ? b.r_[pi][i] : 0;
-        out.r_[pi][i] = f.Add(av, bv);
-      }
-    });
-    return out;
-  }
-
-  // a - b, kept non-negative by adding M = p·2^s >= 2^bound(b) to every
-  // coefficient (M ≡ 0 mod p, so the folded value is unchanged).
-  static ResiduePoly Sub(const ResiduePoly& a, const ResiduePoly& b,
-                         size_t workers) {
-    assert(a.basis_ == b.basis_);
-    const CrtBasis<F>& basis = *a.basis_;
-    size_t s = b.bound_bits_ - std::min(b.bound_bits_, F::kModulusBits) + 1;
-    size_t out_len = std::max(a.len_, b.len_);
-    size_t bound = std::max(a.bound_bits_, b.bound_bits_ + 1) + 1;
-    assert(bound <= basis.capacity_bits());
-    uint64_t pad[kNumNttPrimes];
-    basis.PadResidues(s, pad);
-    ResiduePoly out = Make(basis, out_len, bound);
-    ParallelFor(basis.k(), workers, [&](size_t pi) {
-      const MontField64& f = basis.field(pi);
-      for (size_t i = 0; i < out_len; i++) {
-        uint64_t av = i < a.len_ ? a.r_[pi][i] : 0;
-        uint64_t bv = i < b.len_ ? b.r_[pi][i] : 0;
-        out.r_[pi][i] = f.Sub(f.Add(av, pad[pi]), bv);
-      }
-    });
-    return out;
   }
 
   static ResiduePoly Mul(const ResiduePoly& a, const ResiduePoly& b,

@@ -278,6 +278,20 @@ TEST(SemanticsTest, CompileErrors) {
                CompileError);  // runtime division
 }
 
+// Static arithmetic at the edges of int64 folds to the mathematical result
+// or is a CompileError: no trap, no shift by the word size or more.
+TEST(SemanticsTest, StaticArithmeticEdgesAreDefined) {
+  EXPECT_THROW(CompileZlang<F>("output int32 y; y = 5 % 0;"), CompileError);
+  EXPECT_EQ(RunProgram("output int32 y; output int32 z;"
+                       "y = -5 >> 70; z = 5 >> 64;",
+                       {}),
+            (std::vector<int64_t>{-1, 0}));
+  // Fixed-point denominators are static int64 powers of two.
+  EXPECT_THROW(CompileZlang<F>("input int32 a; var rational<100,63> r;"
+                               "r = a;"),
+               CompileError);
+}
+
 TEST(SemanticsTest, WidthOverflowFromRepeatedMultiplication) {
   // 32 -> 64 -> 128 bits exceeds F128's capacity: must be caught at compile
   // time, not miscomputed at runtime.

@@ -81,84 +81,6 @@ TYPED_TEST(ResiduePolyTest, MulMatchesSchoolbook) {
   }
 }
 
-TYPED_TEST(ResiduePolyTest, AddAndSubMatchFieldArithmetic) {
-  using F = TypeParam;
-  Prg prg(902);
-  std::vector<F> a = prg.NextFieldVector<F>(20);
-  std::vector<F> b = prg.NextFieldVector<F>(33);
-  ResiduePoly<F> ra = this->FromVec(a), rb = this->FromVec(b);
-  std::vector<F> sum = ResiduePoly<F>::Add(ra, rb, 1).ToCoefficients(1);
-  std::vector<F> dif = ResiduePoly<F>::Sub(ra, rb, 1).ToCoefficients(1);
-  for (size_t i = 0; i < 33; i++) {
-    F av = i < a.size() ? a[i] : F::Zero();
-    EXPECT_EQ(sum[i], av + b[i]);
-    EXPECT_EQ(dif[i], av - b[i]);
-  }
-}
-
-// (a - b) * c evaluated without an intermediate renormalize: the padded
-// subtraction keeps integer coefficients non-negative and the product bound
-// within capacity, so the single final fold must still land on the exact
-// field value.
-TYPED_TEST(ResiduePolyTest, SubThenMulSingleFold) {
-  using F = TypeParam;
-  Prg prg(903);
-  std::vector<F> a = prg.NextFieldVector<F>(25);
-  std::vector<F> b = prg.NextFieldVector<F>(25);
-  std::vector<F> c = prg.NextFieldVector<F>(10);
-  ResiduePoly<F> d =
-      ResiduePoly<F>::Sub(this->FromVec(a), this->FromVec(b), 1);
-  EXPECT_FALSE(d.IsCanonical());
-  std::vector<F> got =
-      ResiduePoly<F>::Mul(d, this->FromVec(c), 1).ToCoefficients(1);
-  std::vector<F> ab(25);
-  for (size_t i = 0; i < 25; i++) {
-    ab[i] = a[i] - b[i];
-  }
-  EXPECT_EQ(got, Polynomial<F>::NaiveMul(ab, c));
-}
-
-TYPED_TEST(ResiduePolyTest, RenormalizeRestoresCanonicalQueries) {
-  using F = TypeParam;
-  Prg prg(904);
-  std::vector<F> a = prg.NextFieldVector<F>(15);
-  ResiduePoly<F> ra = this->FromVec(a);
-  ResiduePoly<F> diff = ResiduePoly<F>::Sub(ra, ra, 1);
-  diff.Renormalize(1);
-  EXPECT_TRUE(diff.IsCanonical());
-  EXPECT_TRUE(diff.IsZero());
-  EXPECT_EQ(diff.Degree(), -1);
-
-  std::vector<F> b = a;
-  b[7] += F::One();
-  ResiduePoly<F> d2 = ResiduePoly<F>::Sub(ra, this->FromVec(b), 1);
-  d2.Renormalize(1);
-  EXPECT_FALSE(d2.IsZero());
-  EXPECT_EQ(d2.Degree(), 7);
-  EXPECT_EQ(d2.Coefficient(7), -F::One());
-}
-
-TYPED_TEST(ResiduePolyTest, TruncateAndReverse) {
-  using F = TypeParam;
-  Prg prg(905);
-  std::vector<F> a = prg.NextFieldVector<F>(12);
-  ResiduePoly<F> ra = this->FromVec(a);
-
-  std::vector<F> lo = ra.Truncate(5).ToCoefficients(1);
-  EXPECT_EQ(lo, std::vector<F>(a.begin(), a.begin() + 5));
-  std::vector<F> padded = ra.Truncate(20).ToCoefficients(1);
-  EXPECT_EQ(padded.size(), 20u);
-  for (size_t i = 0; i < 20; i++) {
-    EXPECT_EQ(padded[i], i < 12 ? a[i] : F::Zero());
-  }
-
-  std::vector<F> rev = ra.Reverse(15).ToCoefficients(1);
-  EXPECT_EQ(rev.size(), 16u);
-  for (size_t i = 0; i < 16; i++) {
-    EXPECT_EQ(rev[15 - i], i < 12 ? a[i] : F::Zero());
-  }
-}
-
 TYPED_TEST(ResiduePolyTest, CachedImagesMatchDirectProducts) {
   using F = TypeParam;
   Prg prg(908);

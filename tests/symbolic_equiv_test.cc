@@ -9,13 +9,19 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "src/analysis/analyzer.h"
 #include "src/analysis/symbolic/equivalence.h"
+#include "src/analysis/symbolic/native_interp.h"
+#include "src/analysis/symbolic/sym_eval.h"
 #include "src/apps/suite.h"
 #include "src/compiler/compile.h"
+#include "src/compiler/parser.h"
 #include "src/constraints/transform.h"
 #include "src/crypto/prg.h"
 #include "src/field/fields.h"
@@ -505,6 +511,129 @@ pick = a == 7 ? b : a;
         << EquivStatusName(r.status) << ": " << r.detail;
     EXPECT_NE(r.status, EquivStatus::kMismatch);
     EXPECT_NE(r.status, EquivStatus::kUnderconstrained);
+  }
+}
+
+// The exact verdicts `zaatar-lint --suite --dir examples/zlang --prove`
+// prints for its eleven programs. "Proof grade" alone would let a symbolic-
+// evaluator regression slide matrix_multiplication, matmul.zl or polyeval.zl
+// from algebraic to consistent unnoticed.
+TEST(SymbolicEquivTest, LintProveSetKeepsExactVerdicts) {
+  auto example = [](const std::string& file) {
+    std::ifstream in(std::string(ZAATAR_SOURCE_DIR) + "/examples/zlang/" +
+                     file);
+    EXPECT_TRUE(in.good()) << "cannot read examples/zlang/" << file;
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    return buf.str();
+  };
+  const EquivStatus kAlgebraic = EquivStatus::kEquivalentAlgebraic;
+  const EquivStatus kConsistent = EquivStatus::kConsistent;
+  const std::tuple<std::string, std::string, EquivStatus> f128[] = {
+      {"pam", MakePamApp(4, 3).source, kConsistent},
+      {"apsp", MakeApspApp(3).source, kConsistent},
+      {"fannkuch", MakeFannkuchApp(3, 4, 8).source, kConsistent},
+      {"lcs", MakeLcsApp(6).source, kConsistent},
+      {"matmul", MakeMatMulApp(3).source, kAlgebraic},
+      {"bitops.zl", example("bitops.zl"), kConsistent},
+      {"division.zl", example("division.zl"), kConsistent},
+      {"matmul.zl", example("matmul.zl"), kAlgebraic},
+      {"polyeval.zl", example("polyeval.zl"), kAlgebraic},
+      {"quickstart.zl", example("quickstart.zl"), kConsistent},
+  };
+  for (const auto& [name, source, want] : f128) {
+    EquivResult r = ProveEquivalence<F>(source);
+    EXPECT_EQ(r.status, want) << name << ": " << EquivStatusName(r.status)
+                              << ": " << r.detail;
+  }
+  EquivResult root = ProveEquivalence<F220>(MakeRootFindApp(2, 4).source);
+  EXPECT_EQ(root.status, kConsistent)
+      << "root_finding: " << EquivStatusName(root.status) << ": "
+      << root.detail;
+}
+
+// ----- the 2^62 static-value clip (src/compiler/walker.h) -----
+
+// `big` is built from static pieces; whether it stays static decides how
+// the `if` lowers. At 2^62 - 1 it is still static and the compiler keeps
+// one arm; at 2^62 it has crossed the clip, so the condition is a runtime
+// comparison and both arms compile and merge.
+std::string ClipProgram(const std::string& big) {
+  return "program clip;\n"
+         "input int<8> x;\n"
+         "output int<80> y;\n"
+         "output int<80> z;\n"
+         "var int<70> big;\n"
+         "big = " + big + ";\n"
+         "if (big > 0) { y = x * big; } else { y = x; }\n"
+         "z = big - x;\n";
+}
+
+TEST(SymbolicEquivTest, StaticValuesStopAtTheClip) {
+  const std::string under = "(1 << 61) + ((1 << 61) - 1)";  // 2^62 - 1
+  const std::string over = "(1 << 61) + (1 << 61)";         // 2^62
+  auto one_arm = CompileZlang<F>(
+      "program clip; input int<8> x; output int<80> y; output int<80> z;"
+      "var int<70> big; big = " + under + "; y = x * big; z = big - x;");
+  auto static_if = CompileZlang<F>(ClipProgram(under));
+  auto runtime_if = CompileZlang<F>(ClipProgram(over));
+  // Under the clip the `if` costs nothing beyond its taken arm.
+  EXPECT_EQ(static_if.CZaatar(), one_arm.CZaatar());
+  // Past it, the comparison gadget and the merge are compiled.
+  EXPECT_GT(runtime_if.CZaatar(), static_if.CZaatar() + 60);
+
+  // A loop bound must be static: built from the clipped value it is not.
+  // (Literals are static at any size; 4611686018427387903 is 2^62 - 1.)
+  EXPECT_THROW(CompileZlang<F>("output int32 y; var int32 s;"
+                               "for i in 1..(" + over + ") - "
+                               "4611686018427387903 { s = s + i; } y = s;"),
+               CompileError);
+  EXPECT_NO_THROW(CompileZlang<F>("output int32 y; var int32 s;"
+                                  "for i in 1..(" + under + ") - "
+                                  "4611686018427387901 { s = s + i; } y = s;"));
+  // A statically false assert in the untaken arm is only walked when the
+  // condition is no longer static.
+  const std::string guard_arm =
+      "input int<8> x; output int<8> y; var int<70> big; big = %s;"
+      "if (big > 0) { y = x; } else { assert 1 > 2; y = x; }";
+  auto with = [&](const std::string& big) {
+    std::string s = guard_arm;
+    return s.replace(s.find("%s"), 2, big);
+  };
+  EXPECT_NO_THROW(CompileZlang<F>(with(under)));
+  EXPECT_THROW(CompileZlang<F>(with(over)), CompileError);
+
+  // Native, compiled and symbolic outputs agree on sampled inputs, on both
+  // sides of the clip.
+  for (const std::string& big : {under, over}) {
+    SCOPED_TRACE(big);
+    std::string source = ClipProgram(big);
+    auto prog = CompileZlang<F>(source);
+    ProgramAst ast = Parse(source);
+    NativeInterp native(ast);
+    SymEvalResult<F> sym = SymEval<F>::Run(ast);
+    ASSERT_EQ(sym.outputs.size(), 2u);
+    EXPECT_EQ(sym.outputs[0].valid(), big == under);  // y: one arm or a mux
+    EXPECT_TRUE(sym.outputs[1].valid());
+    for (int64_t x : {-128, -5, 0, 1, 77, 127}) {
+      NativeResult nat = native.Run({x});
+      ASSERT_EQ(nat.status, NativeResult::Status::kOk) << nat.detail;
+      std::vector<F> w = prog.SolveGinger({EncodeSignedInt<F>(x)});
+      ASSERT_TRUE(prog.ginger.IsSatisfied(w));
+      std::vector<F> out = prog.ExtractOutputs(w);
+      ASSERT_EQ(out.size(), 2u);
+      for (size_t i = 0; i < 2; i++) {
+        F want = symbolic_internal::EncodeInt128<F>(nat.outputs[i]);
+        EXPECT_EQ(out[i], want) << "x=" << x << " slot " << i;
+        if (sym.outputs[i].valid()) {
+          EXPECT_EQ(sym.outputs[i].Evaluate({EncodeSignedInt<F>(x)}), want)
+              << "x=" << x << " slot " << i;
+        }
+      }
+    }
+    EquivResult r = ProveEquivalence<F>(source);
+    EXPECT_TRUE(EquivStatusIsProof(r.status))
+        << EquivStatusName(r.status) << ": " << r.detail;
   }
 }
 

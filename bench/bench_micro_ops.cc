@@ -10,6 +10,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "src/crypto/elgamal.h"
 #include "src/crypto/prg.h"
 #include "src/field/fields.h"
@@ -29,6 +31,24 @@ void BM_FieldMul_f(benchmark::State& state) {
 }
 BENCHMARK(BM_FieldMul_f<F128>);
 BENCHMARK(BM_FieldMul_f<F220>);
+
+// f_lazy: one term of the lazy-reduction dot product (multiply-accumulate,
+// reduced once per 1024 terms); the per_term counter is the figure.
+template <typename F>
+void BM_FieldMulLazy_flazy(benchmark::State& state) {
+  constexpr size_t kTerms = 1024;
+  Prg prg(5);
+  const std::vector<F> a = prg.template NextFieldVector<F>(kTerms);
+  const std::vector<F> b = prg.template NextFieldVector<F>(kTerms);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(F::DotProduct(a.data(), b.data(), kTerms));
+  }
+  state.counters["per_term"] = benchmark::Counter(
+      static_cast<double>(state.iterations() * kTerms),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_FieldMulLazy_flazy<F128>);
+BENCHMARK(BM_FieldMulLazy_flazy<F220>);
 
 template <typename F>
 void BM_FieldAdd(benchmark::State& state) {

@@ -77,22 +77,21 @@ class Argument {
       return n;
     }
 
-    // The message the prover receives: public key, Enc(r), plaintext
-    // queries, t. Everything in VerifierSecrets stays out by construction.
-    protocol::SetupMessage<F> ToSetupMessage() const {
-      protocol::SetupMessage<F> msg;
-      msg.pk = pk;
+    // The SetupMessage frame the prover receives: public key, Enc(r),
+    // plaintext queries, t. Everything in VerifierSecrets stays out by
+    // construction. Encoded straight from this setup, without a copy.
+    std::vector<uint8_t> SetupFrame() const {
+      using Msg = protocol::SetupMessage<F>;
+      std::array<typename Msg::OracleRef, 2> refs;
       for (size_t o = 0; o < 2; o++) {
-        msg.oracles[o].enc_r = shared[o].enc_r;
-        msg.oracles[o].queries = Adapter::OracleQueries(queries, o);
-        msg.oracles[o].t = shared[o].t;
+        refs[o] = {&shared[o].enc_r, &Adapter::OracleQueries(queries, o),
+                   &shared[o].t};
       }
-      return msg;
+      return Msg::Encode(pk, refs);
     }
 
     // The honest prover's in-process view — identical content to decoding
-    // ToSetupMessage().Serialize(), without the byte round trip (tests pin
-    // the equivalence).
+    // SetupFrame(), without the byte round trip (tests pin the equivalence).
     ProverContext<F> ProverView() const {
       ProverContext<F> ctx;
       ctx.pk = pk;

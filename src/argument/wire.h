@@ -58,7 +58,7 @@ struct SetupMessage {
       }
       PutFieldVector(&w, t[o]);
     }
-    return w.bytes();
+    return w.Take();
   }
 
   static StatusOr<SetupMessage> Deserialize(
@@ -125,7 +125,7 @@ struct InstanceProofMessage {
       PutFieldVector(&w, responses[o]);
       PutField(&w, t_responses[o]);
     }
-    return w.bytes();
+    return w.Take();
   }
 
   static StatusOr<InstanceProofMessage> Deserialize(

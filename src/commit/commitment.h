@@ -30,7 +30,6 @@
 
 #include "src/crypto/elgamal.h"
 #include "src/crypto/prg.h"
-#include "src/pcp/linear_oracle.h"
 #include "src/util/status.h"
 #include "src/util/stopwatch.h"
 
@@ -97,15 +96,22 @@ class LinearCommitment {
     s.secrets.r = prg.NextFieldVector<F>(oracle_len);
     s.shared.enc_r =
         EG::EncryptRow(pk, s.secrets.r.data(), oracle_len, prg, workers);
+    // t = r + sum_k alpha_k q_k, one unreduced sum per column over the
+    // rows, reduced once at the end.
+    assert(queries.size() <= F::UnreducedSum::kMaxTerms);
     s.secrets.alphas.reserve(queries.size());
-    s.shared.t = s.secrets.r;
+    std::vector<typename F::UnreducedSum> sums(oracle_len);
     for (const auto& q : queries) {
       assert(q.size() == oracle_len);
       F alpha = prg.NextField<F>();
       s.secrets.alphas.push_back(alpha);
       for (size_t i = 0; i < oracle_len; i++) {
-        s.shared.t[i] += alpha * q[i];
+        sums[i].MulAdd(alpha, q[i]);
       }
+    }
+    s.shared.t.resize(oracle_len);
+    for (size_t i = 0; i < oracle_len; i++) {
+      s.shared.t[i] = s.secrets.r[i] + sums[i].Reduce();
     }
     return s;
   }
@@ -144,8 +150,7 @@ class LinearCommitment {
                                   " != oracle length " +
                                   std::to_string(u.size()));
       }
-      part->responses.push_back(
-          VectorOracle<F>::InnerProduct(q.data(), u.data(), u.size()));
+      part->responses.push_back(F::DotProduct(q.data(), u.data(), u.size()));
     }
     if (t.size() != u.size()) {
       return ShapeMismatchError("consistency query length " +
@@ -153,8 +158,7 @@ class LinearCommitment {
                                 " != oracle length " +
                                 std::to_string(u.size()));
     }
-    part->t_response =
-        VectorOracle<F>::InnerProduct(t.data(), u.data(), u.size());
+    part->t_response = F::DotProduct(t.data(), u.data(), u.size());
     return Status::Ok();
   }
 

@@ -256,6 +256,84 @@ class PrimeField {
 
   std::string ToHexString() const { return ToCanonical().ToHex(); }
 
+  // A sum of products of Montgomery representations, kept unreduced. Each
+  // MulAdd adds the N² limb products a_i·b_j into 2N-1 column sums of 128
+  // bits, counting the carries out of each column; Reduce() folds those into
+  // a (2N+1)-limb total and maps it back into the field once. Exact for up
+  // to kMaxTerms terms (DESIGN.md §17).
+  class UnreducedSum {
+   public:
+    // A column takes at most N products per term, so its carry count stays
+    // below N·2^32 < 2^64, and the total stays below 2^32·p² < 2^(64(2N+1)).
+    static constexpr size_t kMaxTerms = size_t{1} << 32;
+
+    void MulAdd(const PrimeField& a, const PrimeField& b) {
+#pragma GCC unroll 16
+      for (size_t i = 0; i < kLimbs; i++) {
+#pragma GCC unroll 16
+        for (size_t j = 0; j < kLimbs; j++) {
+          __uint128_t p =
+              static_cast<__uint128_t>(a.v_.limbs[i]) * b.v_.limbs[j];
+          columns_[i + j] += p;
+          carries_[i + j] += columns_[i + j] < p;
+        }
+      }
+    }
+
+    // The total S = L + H·R + top·R² of Montgomery forms stands for the
+    // field value S·R⁻¹ = L·R⁻¹ + H + top·R. Each piece is one MontMul whose
+    // operands multiply to less than p·R: L by 1, H by R mod p, and the top
+    // limb by R² mod p.
+    PrimeField Reduce() const {
+      constexpr size_t N = kLimbs;
+      uint64_t s[2 * N + 1] = {};
+      for (size_t k = 0; k < 2 * N - 1; k++) {
+        AddAt(s, k, static_cast<uint64_t>(columns_[k]));
+        AddAt(s, k + 1, static_cast<uint64_t>(columns_[k] >> 64));
+        AddAt(s, k + 2, carries_[k]);
+      }
+      Repr low;
+      Repr high;
+      for (size_t i = 0; i < N; i++) {
+        low.limbs[i] = s[i];
+        high.limbs[i] = s[N + i];
+      }
+      Repr r = AddMod(MontMul(low, Repr::One()), MontMul(high, kMontR),
+                      kModulus);
+      return FromMontgomery(
+          AddMod(r, MontMul(Repr(s[2 * N]), kMontR2), kModulus));
+    }
+
+   private:
+    // s += v·2^(64k), carrying upward.
+    static void AddAt(uint64_t* s, size_t k, uint64_t v) {
+      for (; v != 0 && k < 2 * kLimbs + 1; k++) {
+        s[k] += v;
+        v = s[k] < v ? 1 : 0;
+      }
+    }
+
+    __uint128_t columns_[2 * kLimbs - 1] = {};
+    uint64_t carries_[2 * kLimbs - 1] = {};
+  };
+
+  // Σ a[i]·b[i] with one reduction per kMaxTerms terms, i.e. one in practice.
+  static PrimeField DotProduct(const PrimeField* a, const PrimeField* b,
+                               size_t n) {
+    PrimeField total;
+    for (size_t start = 0; start < n; start += UnreducedSum::kMaxTerms) {
+      const size_t end =
+          n - start > UnreducedSum::kMaxTerms ? start + UnreducedSum::kMaxTerms
+                                               : n;
+      UnreducedSum acc;
+      for (size_t i = start; i < end; i++) {
+        acc.MulAdd(a[i], b[i]);
+      }
+      total += acc.Reduce();
+    }
+    return total;
+  }
+
   // Montgomery product: a·b·R^{-1} mod p (CIOS).
   static constexpr Repr MontMul(const Repr& a, const Repr& b) {
     constexpr size_t N = kLimbs;

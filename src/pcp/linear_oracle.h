@@ -46,18 +46,10 @@ class VectorOracle : public LinearOracle<F> {
 
   F Query(const std::vector<F>& query) const override {
     assert(query.size() == u_.size());
-    return InnerProduct(query.data(), u_.data(), u_.size());
+    return F::DotProduct(query.data(), u_.data(), u_.size());
   }
 
   const std::vector<F>& vector() const { return u_; }
-
-  static F InnerProduct(const F* a, const F* b, size_t n) {
-    F acc = F::Zero();
-    for (size_t i = 0; i < n; i++) {
-      acc += a[i] * b[i];
-    }
-    return acc;
-  }
 
  private:
   std::vector<F> u_;

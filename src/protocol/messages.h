@@ -63,29 +63,49 @@ struct SetupMessage {
   typename EG::PublicKey pk;  // only g and h travel; tables are rebuilt local
   std::array<Oracle, 2> oracles;
 
-  std::vector<uint8_t> Serialize() const {
-    ByteWriter w;
+  // Borrowed pointers to one oracle's material, so a verifier can frame its
+  // setup straight from where it keeps it, without copying it into a
+  // SetupMessage first.
+  struct OracleRef {
+    const std::vector<typename EG::Ciphertext>* enc_r;
+    const std::vector<std::vector<F>>* queries;
+    const std::vector<F>* t;
+  };
+
+  // The frame, built in one buffer sized from the shapes up front.
+  static std::vector<uint8_t> Encode(const typename EG::PublicKey& pk,
+                                     const std::array<OracleRef, 2>& oracles) {
+    constexpr size_t kFieldBytes = F::kLimbs * 8;
+    constexpr size_t kGroupBytes = Zp::kLimbs * 8;
+    size_t frame_bytes = 2 * kGroupBytes;
+    for (const OracleRef& o : oracles) {
+      frame_bytes += 8 + o.enc_r->size() * 2 * kGroupBytes +
+                     (o.queries->size() + 1) * o.t->size() * kFieldBytes;
+    }
+    ByteWriter w(frame_bytes);
     PutField(&w, pk.g);
     PutField(&w, pk.h);
-    for (size_t o = 0; o < 2; o++) {
-      const Oracle& oracle = oracles[o];
-      w.PutU32(static_cast<uint32_t>(oracle.enc_r.size()));
-      for (const auto& ct : oracle.enc_r) {
+    for (const OracleRef& o : oracles) {
+      w.PutU32(static_cast<uint32_t>(o.enc_r->size()));
+      for (const auto& ct : *o.enc_r) {
         PutField(&w, ct.c1);
         PutField(&w, ct.c2);
       }
-      w.PutU32(static_cast<uint32_t>(oracle.queries.size()));
-      for (const auto& q : oracle.queries) {
-        assert(q.size() == oracle.enc_r.size());
-        for (const F& x : q) {
-          PutField(&w, x);
-        }
+      w.PutU32(static_cast<uint32_t>(o.queries->size()));
+      for (const auto& q : *o.queries) {
+        assert(q.size() == o.enc_r->size());
+        PutFieldRow(&w, q.data(), q.size());
       }
-      for (const F& x : oracle.t) {
-        PutField(&w, x);
-      }
+      PutFieldRow(&w, o.t->data(), o.t->size());
     }
-    return w.bytes();
+    return w.Take();
+  }
+
+  std::vector<uint8_t> Serialize() const {
+    return Encode(pk, {OracleRef{&oracles[0].enc_r, &oracles[0].queries,
+                                 &oracles[0].t},
+                       OracleRef{&oracles[1].enc_r, &oracles[1].queries,
+                                 &oracles[1].t}});
   }
 
   static StatusOr<SetupMessage> Deserialize(
@@ -113,19 +133,12 @@ struct SetupMessage {
           r.GetLength(static_cast<size_t>(n) * F::kLimbs * 8));
       oracle.queries.reserve(num_q);
       for (uint32_t i = 0; i < num_q; i++) {
-        std::vector<F> q;
-        q.reserve(n);
-        for (uint32_t j = 0; j < n; j++) {
-          ZAATAR_ASSIGN_OR_RETURN(F x, GetField<F>(&r));
-          q.push_back(x);
-        }
+        std::vector<F> q(n);
+        ZAATAR_RETURN_IF_ERROR(GetFieldRow(&r, q.data(), n));
         oracle.queries.push_back(std::move(q));
       }
-      oracle.t.reserve(n);
-      for (uint32_t j = 0; j < n; j++) {
-        ZAATAR_ASSIGN_OR_RETURN(F x, GetField<F>(&r));
-        oracle.t.push_back(x);
-      }
+      oracle.t.resize(n);
+      ZAATAR_RETURN_IF_ERROR(GetFieldRow(&r, oracle.t.data(), n));
     }
     ZAATAR_RETURN_IF_ERROR(r.ExpectEnd());
     return msg;
@@ -152,7 +165,7 @@ struct ProofMessage {
       PutFieldVector(&w, responses[o]);
       PutField(&w, t_responses[o]);
     }
-    return w.bytes();
+    return w.Take();
   }
 
   static StatusOr<ProofMessage> Deserialize(
@@ -197,7 +210,7 @@ struct VerdictMessage {
     w.PutU32(static_cast<uint32_t>(detail.size()));
     w.PutBytes(reinterpret_cast<const uint8_t*>(detail.data()),
                detail.size());
-    return w.bytes();
+    return w.Take();
   }
 
   static StatusOr<VerdictMessage> Deserialize(

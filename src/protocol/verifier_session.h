@@ -71,7 +71,7 @@ class VerifierSession {
     if (phase_ != SessionPhase::kSetup) {
       return WrongPhase("EmitSetup", SessionPhase::kSetup, phase_);
     }
-    std::vector<uint8_t> bytes = setup_->ToSetupMessage().Serialize();
+    std::vector<uint8_t> bytes = setup_->SetupFrame();
     setup_bytes_ = bytes.size();
     phase_ = SessionPhase::kCommit;
     return bytes;
@@ -95,7 +95,7 @@ class VerifierSession {
     if (phase_ != SessionPhase::kCommit) {
       return WrongPhase("ResendSetup", SessionPhase::kCommit, phase_);
     }
-    std::vector<uint8_t> bytes = setup_->ToSetupMessage().Serialize();
+    std::vector<uint8_t> bytes = setup_->SetupFrame();
     ZAATAR_RETURN_IF_ERROR(transport.Send(bytes));
     return bytes.size();
   }

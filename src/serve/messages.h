@@ -126,7 +126,7 @@ struct HelloMessage {
     w.PutBytes(reinterpret_cast<const uint8_t*>(psi.data()), psi.size());
     w.PutU32(static_cast<uint32_t>(tenant.size()));
     w.PutBytes(reinterpret_cast<const uint8_t*>(tenant.data()), tenant.size());
-    return w.bytes();
+    return w.Take();
   }
 
   static StatusOr<HelloMessage> DecodePayload(
@@ -157,7 +157,7 @@ struct ErrorMessage {
     w.PutU32(static_cast<uint32_t>(message.size()));
     w.PutBytes(reinterpret_cast<const uint8_t*>(message.data()),
                message.size());
-    return w.bytes();
+    return w.Take();
   }
 
   static StatusOr<ErrorMessage> DecodePayload(

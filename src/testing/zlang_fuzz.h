@@ -211,7 +211,13 @@ inline ZlangFuzzCase GenerateZlangCase(Prg& prg, size_t case_id) {
         break;
       }
       case 1: {  // bounded accumulation loop
-        auto e = gen.Gen(2, kBudget - 8);
+        // The body may not read the temp it accumulates into: its width is
+        // bounded once, but a body like t * t would square the growing t
+        // on every unrolled iteration.
+        std::vector<GenVar> body_vars = vars;
+        body_vars.erase(body_vars.begin() + temp_index(k));
+        ExprGen body_gen(&prg, &body_vars);
+        auto e = body_gen.Gen(2, kBudget - 8);
         std::string loop = "k" + std::to_string(s);
         c.stmts.push_back("for " + loop + " in 0..2 { " + t.name + " = " +
                           t.name + " + " + e.first + " + " + loop + "; }");

@@ -21,8 +21,11 @@
 #ifndef SRC_UTIL_SERIALIZE_H_
 #define SRC_UTIL_SERIALIZE_H_
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "src/field/bigint.h"
@@ -36,33 +39,45 @@ namespace zaatar {
 // reserve() before the per-element reads could fail.
 inline constexpr uint32_t kMaxWireVectorElements = 1u << 24;
 
+// Integers travel little-endian (limbs low first, each limb's low byte
+// first): their memory layout on a little-endian host, so the codec copies
+// them as they are.
+static_assert(std::endian::native == std::endian::little,
+              "the wire codec copies integers in host byte order");
+
 class ByteWriter {
  public:
-  void PutU32(uint32_t v) {
-    for (int i = 0; i < 4; i++) {
-      buf_.push_back(static_cast<uint8_t>(v >> (8 * i)));
-    }
-  }
+  ByteWriter() = default;
+  // Reserves `expected_bytes` up front, so a message whose size is known
+  // from its shapes is written without regrowing the buffer.
+  explicit ByteWriter(size_t expected_bytes) { buf_.reserve(expected_bytes); }
 
-  void PutU64(uint64_t v) {
-    for (int i = 0; i < 8; i++) {
-      buf_.push_back(static_cast<uint8_t>(v >> (8 * i)));
-    }
-  }
+  void PutU32(uint32_t v) { std::memcpy(Extend(4), &v, 4); }
+
+  void PutU64(uint64_t v) { std::memcpy(Extend(8), &v, 8); }
 
   template <size_t N>
   void PutBigInt(const BigInt<N>& v) {
-    for (size_t i = 0; i < N; i++) {
-      PutU64(v.limbs[i]);
-    }
+    std::memcpy(Extend(N * 8), v.limbs.data(), N * 8);
   }
 
   void PutBytes(const uint8_t* data, size_t n) {
     buf_.insert(buf_.end(), data, data + n);
   }
 
+  // Appends n bytes and returns where they start, for the caller to fill
+  // before the next write.
+  uint8_t* Extend(size_t n) {
+    const size_t at = buf_.size();
+    buf_.resize(at + n);
+    return buf_.data() + at;
+  }
+
   const std::vector<uint8_t>& bytes() const { return buf_; }
   size_t size() const { return buf_.size(); }
+
+  // Hands over the buffer without copying it; the writer is left empty.
+  std::vector<uint8_t> Take() { return std::move(buf_); }
 
  private:
   std::vector<uint8_t> buf_;
@@ -73,42 +88,39 @@ class ByteReader {
   explicit ByteReader(const std::vector<uint8_t>& bytes) : bytes_(&bytes) {}
 
   StatusOr<uint32_t> GetU32() {
-    ZAATAR_RETURN_IF_ERROR(Require(4));
+    ZAATAR_ASSIGN_OR_RETURN(const uint8_t* in, GetSpan(4));
     uint32_t v = 0;
-    for (int i = 0; i < 4; i++) {
-      v |= static_cast<uint32_t>((*bytes_)[pos_++]) << (8 * i);
-    }
+    std::memcpy(&v, in, 4);
     return v;
   }
 
   StatusOr<uint64_t> GetU64() {
-    ZAATAR_RETURN_IF_ERROR(Require(8));
+    ZAATAR_ASSIGN_OR_RETURN(const uint8_t* in, GetSpan(8));
     uint64_t v = 0;
-    for (int i = 0; i < 8; i++) {
-      v |= static_cast<uint64_t>((*bytes_)[pos_++]) << (8 * i);
-    }
+    std::memcpy(&v, in, 8);
     return v;
   }
 
   template <size_t N>
   StatusOr<BigInt<N>> GetBigInt() {
-    ZAATAR_RETURN_IF_ERROR(Require(N * 8));
+    ZAATAR_ASSIGN_OR_RETURN(const uint8_t* in, GetSpan(N * 8));
     BigInt<N> v;
-    for (size_t i = 0; i < N; i++) {
-      uint64_t limb = 0;
-      for (int b = 0; b < 8; b++) {
-        limb |= static_cast<uint64_t>((*bytes_)[pos_++]) << (8 * b);
-      }
-      v.limbs[i] = limb;
-    }
+    std::memcpy(v.limbs.data(), in, N * 8);
     return v;
   }
 
   Status GetBytes(uint8_t* out, size_t n) {
-    ZAATAR_RETURN_IF_ERROR(Require(n));
-    std::memcpy(out, bytes_->data() + pos_, n);
-    pos_ += n;
+    ZAATAR_ASSIGN_OR_RETURN(const uint8_t* in, GetSpan(n));
+    std::memcpy(out, in, n);
     return Status::Ok();
+  }
+
+  // Consumes the next n bytes and returns where they start.
+  StatusOr<const uint8_t*> GetSpan(size_t n) {
+    ZAATAR_RETURN_IF_ERROR(Require(n));
+    const uint8_t* at = bytes_->data() + pos_;
+    pos_ += n;
+    return at;
   }
 
   // Reads a u32 element count and validates it against the cap and the bytes
@@ -172,23 +184,49 @@ StatusOr<P> GetField(ByteReader* r) {
   return P::FromCanonical(canonical);
 }
 
+// n consecutive elements with no length prefix, written in one piece.
+template <typename P>
+void PutFieldRow(ByteWriter* w, const P* x, size_t n) {
+  constexpr size_t kBytes = P::kLimbs * 8;
+  uint8_t* out = w->Extend(n * kBytes);
+  for (size_t i = 0; i < n; i++) {
+    const typename P::Repr canonical = x[i].ToCanonical();
+    std::memcpy(out + i * kBytes, canonical.limbs.data(), kBytes);
+  }
+}
+
+// Reads n consecutive elements into out[0, n): the same checks, in the same
+// order, as n GetField calls, with one bounds check for the whole row.
+template <typename P>
+Status GetFieldRow(ByteReader* r, P* out, size_t n) {
+  constexpr size_t kBytes = P::kLimbs * 8;
+  const size_t whole = std::min(n, r->remaining() / kBytes);
+  ZAATAR_ASSIGN_OR_RETURN(const uint8_t* in, r->GetSpan(whole * kBytes));
+  for (size_t i = 0; i < whole; i++) {
+    typename P::Repr canonical;
+    std::memcpy(canonical.limbs.data(), in + i * kBytes, kBytes);
+    if (!(canonical < P::kModulus)) {
+      return OutOfRangeError("element not in canonical range");
+    }
+    out[i] = P::FromCanonical(canonical);
+  }
+  if (whole < n) {
+    return TruncatedError("serialized message truncated");
+  }
+  return Status::Ok();
+}
+
 template <typename P>
 void PutFieldVector(ByteWriter* w, const std::vector<P>& v) {
   w->PutU32(static_cast<uint32_t>(v.size()));
-  for (const P& x : v) {
-    PutField(w, x);
-  }
+  PutFieldRow(w, v.data(), v.size());
 }
 
 template <typename P>
 StatusOr<std::vector<P>> GetFieldVector(ByteReader* r) {
   ZAATAR_ASSIGN_OR_RETURN(uint32_t n, r->GetLength(P::kLimbs * 8));
-  std::vector<P> v;
-  v.reserve(n);
-  for (uint32_t i = 0; i < n; i++) {
-    ZAATAR_ASSIGN_OR_RETURN(P x, GetField<P>(r));
-    v.push_back(x);
-  }
+  std::vector<P> v(n);
+  ZAATAR_RETURN_IF_ERROR(GetFieldRow(r, v.data(), n));
   return v;
 }
 

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "src/field/fields.h"
+#include "tests/reference_kernels.h"
 
 namespace zaatar {
 namespace {
@@ -47,8 +48,8 @@ TEST(CommitmentTest, ResponsesAreTrueInnerProducts) {
   auto f = Fixture::Make(prg);
   for (size_t i = 0; i < f.queries.size(); i++) {
     EXPECT_EQ(f.part.responses[i],
-              VectorOracle<F>::InnerProduct(f.queries[i].data(), f.u.data(),
-                                            f.u.size()));
+              InnerProductPerTerm(f.queries[i].data(), f.u.data(),
+                                  f.u.size()));
   }
 }
 
@@ -61,6 +62,28 @@ TEST(CommitmentTest, TVectorIsRPlusAlphaCombination) {
       expect += f.setup.secrets.alphas[k] * f.queries[k][i];
     }
     EXPECT_EQ(f.setup.shared.t[i], expect);
+  }
+}
+
+// t is accumulated column by column without reduction; it must still equal
+// the per-term sum, including for rows whose entries are all p - 1.
+TEST(CommitmentTest, TVectorMatchesPerTermSumOnExtremeRows) {
+  Prg prg(105);
+  const size_t len = 257;
+  const F max = F::Zero() - F::One();
+  std::vector<std::vector<F>> queries(40, std::vector<F>(len, max));
+  for (size_t k = 0; k < queries.size(); k += 3) {
+    queries[k] = prg.NextFieldVector<F>(len);
+  }
+  auto keys = EG::GenerateKeys(prg);
+  auto setup = Commit::CreateSetup(keys.pk, len, queries, prg);
+  ASSERT_EQ(setup.secrets.alphas.size(), queries.size());
+  for (size_t i = 0; i < len; i++) {
+    F expect = setup.secrets.r[i];
+    for (size_t k = 0; k < queries.size(); k++) {
+      expect += setup.secrets.alphas[k] * queries[k][i];
+    }
+    ASSERT_EQ(setup.shared.t[i], expect) << "column " << i;
   }
 }
 

@@ -242,8 +242,8 @@ b = seen ? z < pick : p == r[1];
 }
 
 // The differential fuzzer's generator, at a fixed seed: random mixes of
-// comparisons, muxes, gadgets and loops, digested as one corpus. The few
-// cases whose widths outgrow F128 contribute their error message instead.
+// comparisons, muxes, gadgets and loops, digested as one corpus. Every case
+// must compile; one that did not would contribute its error message.
 TEST(CompilerGoldenTest, FuzzCorpus) {
   Prg prg(0x601D);
   Digest corpus;
@@ -257,8 +257,8 @@ TEST(CompilerGoldenTest, FuzzCorpus) {
       corpus.Str(e.what());  // the rejection is pinned too
     }
   }
-  EXPECT_GE(compiled, 24u);
-  EXPECT_EQ(corpus.value(), 0x7b455169e2bd59bULL)
+  EXPECT_GE(compiled, 32u);
+  EXPECT_EQ(corpus.value(), 0x9aca1b4b732ce818ULL)
       << "corpus digest 0x" << std::hex << corpus.value();
 }
 

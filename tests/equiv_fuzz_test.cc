@@ -7,8 +7,10 @@
 // Iteration count defaults to 40 and is overridable via ZAATAR_FUZZ_ITERS
 // (scripts/ci.sh runs 200 under ASan).
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <string>
 
 #include "gtest/gtest.h"
 #include "src/field/fields.h"
@@ -51,6 +53,28 @@ TEST(EquivFuzz, SecondSeedSweep) {
   if (report.failure.has_value()) {
     FAIL() << "divergence after " << report.iterations << " case(s):\n"
            << *report.failure;
+  }
+}
+
+// Every generated program must compile over F128: a case whose value widths
+// outgrow the field is a generator bug, and it starves the other checks of
+// coverage because RunZlangFuzz stops at the first one.
+TEST(EquivFuzz, GeneratedProgramsFitF128) {
+  for (uint64_t seed : {uint64_t{0x601D}, uint64_t{1}, uint64_t{2}}) {
+    Prg prg(seed);
+    size_t errors = 0;
+    std::string first;
+    for (size_t i = 0; i < 400; i++) {
+      std::string source = GenerateZlangCase(prg, i).Source();
+      try {
+        CompileZlang<F128>(source);
+      } catch (const CompileError& e) {
+        if (errors++ == 0) {
+          first = "case " + std::to_string(i) + ": " + e.what() + "\n" + source;
+        }
+      }
+    }
+    EXPECT_EQ(errors, 0u) << "seed " << seed << ", first failure " << first;
   }
 }
 

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "src/crypto/prg.h"
+#include "tests/reference_kernels.h"
 
 namespace zaatar {
 namespace {
@@ -206,6 +210,35 @@ TYPED_TEST(FieldTest, WindowedPowMatchesPowNaive) {
     EXPECT_EQ(b.Pow(e), b.PowNaive(e));
     EXPECT_EQ(F::Zero().Pow(e), F::Zero().PowNaive(e));
     EXPECT_EQ(F::One().Pow(e), F::One().PowNaive(e));
+  }
+}
+
+// The lazy-reduction dot product must equal the frozen per-term sum bit for
+// bit: on random vectors, on zero vectors, and on the accumulator's worst
+// cases — every entry the field element p - 1, or every entry the element
+// whose Montgomery representation is p - 1 (all limbs at their maximum).
+TYPED_TEST(FieldTest, DotProductMatchesPerTermSum) {
+  using F = TypeParam;
+  Prg prg(0xD07);
+  typename F::Repr top = F::kModulus;
+  top.SubInPlace(typename F::Repr(uint64_t{1}));
+  const F max_repr = F::FromMontgomery(top);
+  const F minus_one = F::Zero() - F::One();
+  for (size_t n : {0, 1, 2, 3, 17, 4097}) {
+    const std::vector<F> a = prg.NextFieldVector<F>(n);
+    const std::vector<F> b = prg.NextFieldVector<F>(n);
+    const std::vector<F> zeros(n, F::Zero());
+    const std::vector<F> minus_ones(n, minus_one);
+    const std::vector<F> maxes(n, max_repr);
+    const std::vector<std::pair<const std::vector<F>*, const std::vector<F>*>>
+        cases = {{&a, &b},           {&zeros, &b},        {&zeros, &zeros},
+                 {&minus_ones, &minus_ones}, {&maxes, &maxes}, {&maxes, &b}};
+    for (size_t c = 0; c < cases.size(); c++) {
+      const F* x = cases[c].first->data();
+      const F* y = cases[c].second->data();
+      EXPECT_EQ(F::DotProduct(x, y, n), InnerProductPerTerm(x, y, n))
+          << F::kName << " n=" << n << " case " << c;
+    }
   }
 }
 

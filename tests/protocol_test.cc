@@ -98,20 +98,22 @@ void ExpectBitFlipSweepIsClean(const std::vector<uint8_t>& bytes,
 TEST(ProtocolMessageTest, SetupMessageRoundTripAndSweeps) {
   // Tiny system: the sweeps decode the message once per byte/bit.
   SessionFixture f(500, /*unbound=*/4, /*constraints=*/6);
-  auto msg = f.verifier.setup().ToSetupMessage();
-  auto bytes = msg.Serialize();
+  const auto& setup = f.verifier.setup();
+  auto bytes = setup.SetupFrame();
 
   auto decoded = protocol::SetupMessage<F>::Deserialize(bytes);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded->pk.g, msg.pk.g);
-  EXPECT_EQ(decoded->pk.h, msg.pk.h);
+  EXPECT_EQ(decoded->Serialize(), bytes);
+  EXPECT_EQ(decoded->pk.g, setup.pk.g);
+  EXPECT_EQ(decoded->pk.h, setup.pk.h);
   for (size_t o = 0; o < 2; o++) {
-    EXPECT_EQ(decoded->oracles[o].queries, msg.oracles[o].queries);
-    EXPECT_EQ(decoded->oracles[o].t, msg.oracles[o].t);
-    ASSERT_EQ(decoded->oracles[o].enc_r.size(), msg.oracles[o].enc_r.size());
-    for (size_t i = 0; i < msg.oracles[o].enc_r.size(); i++) {
-      EXPECT_EQ(decoded->oracles[o].enc_r[i].c1, msg.oracles[o].enc_r[i].c1);
-      EXPECT_EQ(decoded->oracles[o].enc_r[i].c2, msg.oracles[o].enc_r[i].c2);
+    EXPECT_EQ(decoded->oracles[o].queries,
+              Adapter::OracleQueries(setup.queries, o));
+    EXPECT_EQ(decoded->oracles[o].t, setup.shared[o].t);
+    ASSERT_EQ(decoded->oracles[o].enc_r.size(), setup.shared[o].enc_r.size());
+    for (size_t i = 0; i < setup.shared[o].enc_r.size(); i++) {
+      EXPECT_EQ(decoded->oracles[o].enc_r[i].c1, setup.shared[o].enc_r[i].c1);
+      EXPECT_EQ(decoded->oracles[o].enc_r[i].c2, setup.shared[o].enc_r[i].c2);
     }
   }
 
@@ -210,8 +212,8 @@ TEST(ProtocolMessageTest, VerdictDetailIsBounded) {
 TEST(ProtocolMessageTest, ProverContextFromBytesMatchesProverView) {
   SessionFixture f(502, /*unbound=*/4, /*constraints=*/6);
   auto view = f.verifier.setup().ProverView();
-  auto from_bytes = ProverContext<F>::FromBytes(
-      f.verifier.setup().ToSetupMessage().Serialize());
+  auto from_bytes =
+      ProverContext<F>::FromBytes(f.verifier.setup().SetupFrame());
   ASSERT_TRUE(from_bytes.ok()) << from_bytes.status().ToString();
   EXPECT_EQ(from_bytes->pk.g, view.pk.g);
   EXPECT_EQ(from_bytes->pk.h, view.pk.h);
@@ -240,14 +242,16 @@ TEST(ProtocolMessageTest, ProverContextFromBytesMatchesProverView) {
 TEST(ProtocolMessageTest, ProverContextRejectsInconsistentMessage) {
   SessionFixture f(503, /*unbound=*/4, /*constraints=*/6);
   {
-    auto msg = f.verifier.setup().ToSetupMessage();
+    auto msg = *protocol::SetupMessage<F>::Deserialize(
+        f.verifier.setup().SetupFrame());
     msg.oracles[0].t.pop_back();
     auto ctx = ProverContext<F>::FromMessage(std::move(msg));
     ASSERT_FALSE(ctx.ok());
     EXPECT_EQ(ctx.status().code(), StatusCode::kMalformed);
   }
   {
-    auto msg = f.verifier.setup().ToSetupMessage();
+    auto msg = *protocol::SetupMessage<F>::Deserialize(
+        f.verifier.setup().SetupFrame());
     if (!msg.oracles[1].queries.empty()) {
       msg.oracles[1].queries[0].push_back(F::One());
     }

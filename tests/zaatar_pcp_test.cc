@@ -114,8 +114,7 @@ class NoisyOracle : public LinearOracle<F> {
   NoisyOracle(std::vector<F> u, uint64_t seed) : u_(std::move(u)), prg_(seed) {}
   size_t Size() const override { return u_.size(); }
   F Query(const std::vector<F>& query) const override {
-    F honest = VectorOracle<F>::InnerProduct(query.data(), u_.data(),
-                                             u_.size());
+    F honest = F::DotProduct(query.data(), u_.data(), u_.size());
     // Perturb every other query.
     if (count_++ % 2 == 0) {
       return honest + prg_.NextNonzeroField<F>();
